@@ -1,22 +1,24 @@
-"""Benchmark: the compiled slice/boundary core vs the NumPy engines.
+"""Benchmark: the compiled slice/boundary core vs the per-slice reference.
 
-PR 6 ports the three hot loops of the device layer -- the per-execution
-slice loop, the firmware control-boundary lattice and the thermal span
-relaxation -- into a single compiled kernel call per idle span / execution
-sequence (``repro.gpu.fastcore``).  This benchmark measures what that buys
-on the same ``backend.run()`` shape the execution-arena benchmark uses
-(``arena_run_cost`` in ``BENCH_profiler.json``), plus a sub-crossover idle
-span where the NumPy grid still defers to the scalar per-period loop but
-the compiled kernel (which has no crossover threshold) does not.
+The device's hot loops -- the per-execution slice loop, the firmware
+control boundary and the thermal span relaxation -- run as one compiled
+kernel call per idle span / execution sequence (``repro.gpu.fastcore``).
+This benchmark measures what that buys over the per-slice reference engine
+(the executable specification) on the ``backend.run()`` shape of the
+execution-arena benchmark, plus a short (8 control period) idle span.
 
-Acceptance: the compiled engine must beat the vectorized (arena) engine by
->=5x on per-execution run cost at the largest execution count, and must not
-regress on the sub-crossover idle span.
+Acceptance: at 640 executions the compiled engine must beat the reference
+by at least ``MIN_RUN_SPEEDUP``, every smaller row by at least
+``MIN_ROW_SPEEDUP``, and the short idle span by at least
+``MIN_IDLE_SPEEDUP``.  The floors sit below the ratios measured on the
+bundled-C provider (2-CPU x86-64 container, Python 3.11: ~48x at 640
+executions, >=5x per row, ~4x on the short span); the un-jitted ``python``
+provider (``REPRO_FASTCORE_PROVIDER=python``: ~2x, ~0.7x) fails them by
+design.
 
 Results land in ``BENCH_profiler.json`` under ``compiled_core``, stamped
-with the active provider name and Numba version (``null`` when the
-bundled-C provider carried the run).  The whole module is skipped when no
-compiled-kernel provider is available in the environment.
+with the active provider name and Numba version (``null`` unless the Numba
+provider carried the run).
 """
 
 from __future__ import annotations
@@ -35,15 +37,13 @@ from repro.kernels.workloads import cb_gemm
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_profiler.json"
 
-pytestmark = [
-    pytest.mark.bench,
-    pytest.mark.skipif(
-        not fastcore.available(),
-        reason="no compiled-kernel provider in this environment",
-    ),
-]
+pytestmark = pytest.mark.bench
 
-ENGINES = ("compiled", "vectorized", "reference")
+ENGINES = ("compiled", "reference")
+#: Floors below the measured compiled-vs-reference ratios (see module doc).
+MIN_RUN_SPEEDUP = 30.0
+MIN_ROW_SPEEDUP = 3.0
+MIN_IDLE_SPEEDUP = 2.0
 
 
 def _write_results(update: dict) -> None:
@@ -62,7 +62,6 @@ def _merge_section(update: dict) -> None:
     section = payload.get("compiled_core", {})
     section.update(update)
     section["engines"] = {
-        "compiled_available": fastcore.available(),
         "compiled_provider": fastcore.provider_name(),
         "numba_version": fastcore.numba_version(),
     }
@@ -75,21 +74,20 @@ def _make_backend(engine: str, seed: int = 3) -> SimulatedDeviceBackend:
     )
 
 
-@pytest.mark.bench
 def test_compiled_core_run_cost():
-    """Compiled engine >=5x the vectorized arena engine at the largest N.
+    """Compiled engine >= MIN_RUN_SPEEDUP x the reference at the largest N.
 
     Same shape as ``arena_run_cost`` (zero pre-delay, CB-2K-GEMM), extended
-    up to 640 executions: the vectorized engine still pays a Python-level
-    per-execution loop inside ``launch_sequence``, so its cost grows
-    linearly with N while the compiled sequence kernel's stays nearly flat.
+    up to 640 executions: the reference engine pays Python-level per-slice
+    work for every execution, so its cost grows linearly with N while the
+    compiled sequence kernel's stays nearly flat.
     """
     kernel = cb_gemm(2048)
     rows = []
     for executions in (20, 80, 160, 320, 640):
         backends = {engine: _make_backend(engine) for engine in ENGINES}
         repetitions = 12 if executions <= 160 else 6
-        for backend in backends.values():  # warm caches / lattice / kernels
+        for backend in backends.values():  # warm caches / kernels
             backend.run(kernel, executions=executions, pre_delay_s=0.0)
         # Interleave best-of rounds across the engines so a transient load
         # spike degrades one round of each, not one engine's whole sample.
@@ -108,49 +106,40 @@ def test_compiled_core_run_cost():
             "executions": executions,
             "compiled_ms": seconds["compiled"] * 1e3,
             "compiled_us_per_execution": seconds["compiled"] / executions * 1e6,
-            "vectorized_ms": seconds["vectorized"] * 1e3,
             "reference_ms": seconds["reference"] * 1e3,
-            "speedup_vs_vectorized": seconds["vectorized"] / seconds["compiled"],
             "speedup_vs_reference": seconds["reference"] / seconds["compiled"],
         })
-    print("\n=== per-execution backend.run() cost: compiled vs NumPy engines ===")
+    print("\n=== per-execution backend.run() cost: compiled vs reference ===")
     print(f"  provider: {fastcore.provider_name()}, "
-          f"numba: {fastcore.numba_version() or 'absent (bundled C)'}")
+          f"numba: {fastcore.numba_version() or 'absent'}")
     for row in rows:
         print(f"  {row['executions']:>4} executions: compiled {row['compiled_ms']:7.3f} ms "
               f"({row['compiled_us_per_execution']:5.2f} us/exec), "
-              f"vectorized {row['vectorized_ms']:7.3f} ms "
-              f"({row['speedup_vs_vectorized']:.1f}x), "
               f"reference {row['reference_ms']:8.3f} ms "
               f"({row['speedup_vs_reference']:.1f}x)")
     _merge_section({"arena_run_cost": rows})
     largest = rows[-1]
-    assert largest["speedup_vs_vectorized"] >= 5.0, (
-        f"compiled engine only {largest['speedup_vs_vectorized']:.2f}x over the "
-        f"vectorized engine at {largest['executions']} executions"
+    assert largest["speedup_vs_reference"] >= MIN_RUN_SPEEDUP, (
+        f"compiled engine only {largest['speedup_vs_reference']:.2f}x over the "
+        f"reference at {largest['executions']} executions"
     )
-    # Every row must at least match the engine it supersedes.
     for row in rows:
-        assert row["speedup_vs_vectorized"] >= 0.9, (
-            f"compiled engine regressed at {row['executions']} executions: "
-            f"{row['speedup_vs_vectorized']:.2f}x"
+        assert row["speedup_vs_reference"] >= MIN_ROW_SPEEDUP, (
+            f"compiled engine only {row['speedup_vs_reference']:.2f}x over the "
+            f"reference at {row['executions']} executions"
         )
 
 
-@pytest.mark.bench
-def test_compiled_core_sub_crossover_idle():
-    """No idle regression below the old batching crossover.
+def test_compiled_core_short_idle_span():
+    """A short idle span (2 ms = 8 control periods) in one kernel call.
 
-    A 2 ms span is 8 control periods -- below the 16-period
-    ``_IDLE_BATCH_MIN_PERIODS`` break-even, where the vectorized engine
-    deliberately runs the scalar per-period loop.  The compiled engine has
-    no threshold: the same single kernel call must carry short spans at
-    least as cheaply as the scalar loop does.
+    The reference engine walks the span slice by slice in Python; the
+    compiled engine takes one kernel call, so even a span this short must
+    come out at least ``MIN_IDLE_SPEEDUP`` ahead.
     """
     duration_s = 2e-3
     devices = {
-        engine: SimulatedGPU(mi300x_spec(), seed=1, engine=engine)
-        for engine in ("compiled", "vectorized")
+        engine: SimulatedGPU(mi300x_spec(), seed=1, engine=engine) for engine in ENGINES
     }
     for device in devices.values():
         device.start_recording()
@@ -165,20 +154,18 @@ def test_compiled_core_sub_crossover_idle():
             seconds[engine] = min(
                 seconds[engine], (time.perf_counter() - begin) / calls
             )
-    ratio = seconds["vectorized"] / seconds["compiled"]
-    print("\n=== sub-crossover idle span (2 ms = 8 control periods) ===")
-    print(f"  compiled   {seconds['compiled'] * 1e6:7.1f} us")
-    print(f"  vectorized {seconds['vectorized'] * 1e6:7.1f} us "
+    ratio = seconds["reference"] / seconds["compiled"]
+    print("\n=== short idle span (2 ms = 8 control periods) ===")
+    print(f"  compiled  {seconds['compiled'] * 1e6:7.1f} us")
+    print(f"  reference {seconds['reference'] * 1e6:7.1f} us "
           f"(compiled is {ratio:.2f}x)")
-    _merge_section({"sub_crossover_idle": {
+    _merge_section({"short_idle_span": {
         "idle_ms": duration_s * 1e3,
         "control_periods": duration_s / mi300x_spec().dvfs.control_period_s,
         "compiled_us": seconds["compiled"] * 1e6,
-        "vectorized_us": seconds["vectorized"] * 1e6,
+        "reference_us": seconds["reference"] * 1e6,
         "compiled_speedup": ratio,
     }})
-    # 0.85 floor: spans this short are timer-noise territory; anything near
-    # parity proves the thresholdless compiled path does not regress.
-    assert ratio >= 0.85, (
-        f"compiled engine regressed on the sub-crossover span: {ratio:.2f}x"
+    assert ratio >= MIN_IDLE_SPEEDUP, (
+        f"compiled engine only {ratio:.2f}x over the reference on a short idle span"
     )

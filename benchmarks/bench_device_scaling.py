@@ -1,25 +1,25 @@
-"""Benchmark: end-to-end live-backend ``profile()`` with the vectorized device.
+"""Benchmark: end-to-end live-backend ``profile()`` on the compiled device.
 
-PR 1 moved >95% of live-backend profiling cost into the simulated device's
-per-slice Python loops; this PR rebuilds the device's time-advance engine
-around batched slice computation and a columnar segment buffer.  Unlike
-``bench_profiler_scaling`` (which replays pre-simulated records to isolate the
-methodology), these benchmarks drive the *live* simulated backend, so wall
-time is dominated by the device:
+Unlike ``bench_profiler_scaling`` (which replays pre-simulated records to
+isolate the methodology), these benchmarks drive the *live* simulated
+backend, so wall time is dominated by the device:
 
-* ``test_device_vectorized_speedup_live`` reproduces the paper's hardest
+* ``test_device_compiled_speedup_live`` reproduces the paper's hardest
   scenario -- a ~13 us kernel whose SSE LOI scarcity forces a large top-up
   (600-run budget) -- end to end through ``FinGraVProfiler.profile()``, and
-  compares the vectorized engine against the retained per-slice pipeline
-  (``BackendConfig(vectorized=False)``).  The profiles must agree (bit-equal
-  run structure and golden selection; powers within the documented 1e-9
-  relative tolerance from closed-form idle-span warmth) and the vectorized
-  engine must be at least 3x faster.
+  compares the compiled engine against the per-slice reference engine
+  (``BackendConfig(engine="reference")``).  The profiles must agree
+  (bit-equal run structure and golden selection; powers within the
+  documented 1e-9 relative tolerance from closed-form idle-span warmth) and
+  the compiled engine must be at least ``MIN_LIVE_SPEEDUP`` faster.
 * ``test_device_run_cost_by_exec_count`` times single instrumented runs at
   growing execution counts, showing that per-execution device cost is what
-  the vectorized engine compresses.
+  the compiled engine compresses.
 
-Results are appended to ``BENCH_profiler.json`` in the repository root.
+The floors sit below the ratios measured on the bundled-C provider (2-CPU
+x86-64 container, Python 3.11); the un-jitted ``python`` provider
+(``REPRO_FASTCORE_PROVIDER=python``) fails them by design.  Results are
+appended to ``BENCH_profiler.json`` in the repository root.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ BENCH_CONFIG = ProfilerConfig(
     seed=909, refine_ssp_with_power_search=False, max_additional_runs=TOPUP_BUDGET
 )
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_profiler.json"
+#: Floors below the measured compiled-vs-reference ratios (see module doc).
+MIN_LIVE_SPEEDUP = 8.0
+MIN_RUN_COST_SPEEDUP = 10.0
 
 
 def _write_results(update: dict) -> None:
@@ -56,7 +59,7 @@ def _write_results(update: dict) -> None:
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _live_profile(vectorized: bool, repetitions: int = 3):
+def _live_profile(engine: str, repetitions: int = 3):
     """Median-of-N wall time of profile() against a freshly seeded live backend.
 
     The median (rather than best-of) keeps the measured ratio stable against
@@ -67,7 +70,7 @@ def _live_profile(vectorized: bool, repetitions: int = 3):
     result = None
     for _ in range(repetitions):
         backend = SimulatedDeviceBackend(
-            spec=mi300x_spec(), seed=404, config=BackendConfig(vectorized=vectorized)
+            spec=mi300x_spec(), seed=404, config=BackendConfig(engine=engine)
         )
         profiler = FinGraVProfiler(backend, BENCH_CONFIG)
         begin = time.perf_counter()
@@ -94,32 +97,34 @@ def _profiles_close(left, right) -> bool:
 
 
 @pytest.mark.bench
-def test_device_vectorized_speedup_live():
-    """Vectorized device beats the per-slice pipeline >=3x on a live top-up."""
-    vec_result, vec_seconds = _live_profile(vectorized=True)
-    ref_result, ref_seconds = _live_profile(vectorized=False)
-    speedup = ref_seconds / vec_seconds
-    topup_runs = vec_result.num_runs - INITIAL_RUNS
-    print("\n=== vectorized device vs per-slice reference (live profile()) ===")
-    print(f"  kernel CB-{KERNEL_SIZE}-GEMM: {vec_result.execution_time_s*1e6:.1f} us, "
-          f"{vec_result.num_runs} total runs ({topup_runs} top-up)")
-    print(f"  vectorized device: {vec_seconds:7.3f} s")
-    print(f"  per-slice device:  {ref_seconds:7.3f} s")
-    print(f"  speedup:           {speedup:.2f}x")
+def test_device_compiled_speedup_live():
+    """Compiled device beats the per-slice reference on a live top-up."""
+    compiled_result, compiled_seconds = _live_profile("compiled")
+    ref_result, ref_seconds = _live_profile("reference")
+    speedup = ref_seconds / compiled_seconds
+    topup_runs = compiled_result.num_runs - INITIAL_RUNS
+    print("\n=== compiled device vs per-slice reference (live profile()) ===")
+    print(f"  kernel CB-{KERNEL_SIZE}-GEMM: {compiled_result.execution_time_s*1e6:.1f} us, "
+          f"{compiled_result.num_runs} total runs ({topup_runs} top-up)")
+    print(f"  compiled device:  {compiled_seconds:7.3f} s")
+    print(f"  per-slice device: {ref_seconds:7.3f} s")
+    print(f"  speedup:          {speedup:.2f}x")
     _write_results({"device_topup": {
         "kernel": f"CB-{KERNEL_SIZE}-GEMM",
-        "execution_time_s": vec_result.execution_time_s,
-        "total_runs": vec_result.num_runs,
+        "execution_time_s": compiled_result.execution_time_s,
+        "total_runs": compiled_result.num_runs,
         "topup_runs": topup_runs,
-        "vectorized_seconds": vec_seconds,
+        "compiled_seconds": compiled_seconds,
         "reference_seconds": ref_seconds,
         "speedup": speedup,
     }})
-    assert vec_result.num_runs == ref_result.num_runs
-    assert vec_result.golden_run_indices == ref_result.golden_run_indices
-    assert _profiles_close(vec_result, ref_result)
+    assert compiled_result.num_runs == ref_result.num_runs
+    assert compiled_result.golden_run_indices == ref_result.golden_run_indices
+    assert _profiles_close(compiled_result, ref_result)
     assert topup_runs >= 100, f"scenario lost its top-up ({topup_runs} runs)"
-    assert speedup >= 3.0, f"vectorized device speedup {speedup:.2f}x below 3x"
+    assert speedup >= MIN_LIVE_SPEEDUP, (
+        f"compiled device speedup {speedup:.2f}x below {MIN_LIVE_SPEEDUP}x"
+    )
 
 
 @pytest.mark.bench
@@ -129,9 +134,9 @@ def test_device_run_cost_by_exec_count():
     rows = []
     for executions in (20, 40, 80, 160):
         per_engine = {}
-        for vectorized in (True, False):
+        for engine in ("compiled", "reference"):
             backend = SimulatedDeviceBackend(
-                spec=mi300x_spec(), seed=7, config=BackendConfig(vectorized=vectorized)
+                spec=mi300x_spec(), seed=7, config=BackendConfig(engine=engine)
             )
             rng = np.random.default_rng(1)
             backend.run(kernel, executions=executions, pre_delay_s=0.0, run_index=0)
@@ -144,18 +149,21 @@ def test_device_run_cost_by_exec_count():
                     pre_delay_s=float(rng.uniform(0.0, 2e-3)),
                     run_index=i,
                 )
-            per_engine[vectorized] = (time.perf_counter() - begin) / repeats
+            per_engine[engine] = (time.perf_counter() - begin) / repeats
         rows.append({
             "executions": executions,
-            "vectorized_ms": per_engine[True] * 1e3,
-            "reference_ms": per_engine[False] * 1e3,
-            "speedup": per_engine[False] / per_engine[True],
+            "compiled_ms": per_engine["compiled"] * 1e3,
+            "reference_ms": per_engine["reference"] * 1e3,
+            "speedup": per_engine["reference"] / per_engine["compiled"],
         })
     print("\n=== backend.run() cost by execution count ===")
     for row in rows:
-        print(f"  {row['executions']:>4} executions: vectorized {row['vectorized_ms']:6.2f} ms, "
+        print(f"  {row['executions']:>4} executions: compiled {row['compiled_ms']:6.2f} ms, "
               f"per-slice {row['reference_ms']:6.2f} ms ({row['speedup']:.2f}x)")
     _write_results({"device_run_cost": rows})
-    # Device cost dominates at high execution counts, where the vectorized
+    # Device cost dominates at high execution counts, where the compiled
     # engine must hold a solid advantage.
-    assert rows[-1]["speedup"] >= 2.0
+    assert rows[-1]["speedup"] >= MIN_RUN_COST_SPEEDUP, (
+        f"compiled device only {rows[-1]['speedup']:.2f}x at {rows[-1]['executions']} "
+        "executions"
+    )

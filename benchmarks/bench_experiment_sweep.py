@@ -17,9 +17,12 @@ Four measurements, all extending ``BENCH_profiler.json``:
   must shrink at least one fig7 job's payload >=5x (the short-kernel jobs
   reach tens of x) with bit-identical profiles.
 * ``test_execution_arena_run_cost`` measures per-execution ``backend.run()``
-  cost on the arena (vectorized) engine against the retained object
-  (``vectorized=False``) path, and against the ``device_run_cost`` numbers
-  the pre-arena benchmark recorded in ``BENCH_profiler.json``.
+  cost on the arena (compiled-engine) path against the object path of the
+  per-slice reference engine (``BackendConfig(engine="reference")``); the
+  arena path must be at least ``MIN_ARENA_SPEEDUP`` faster at every row, a
+  floor below the ratio measured on the bundled-C provider (2-CPU x86-64
+  container, Python 3.11) that the un-jitted ``python`` provider
+  (``REPRO_FASTCORE_PROVIDER=python``) fails by design.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_profiler.json"
+#: Floor below the measured arena-vs-object ratio (see module doc).
+MIN_ARENA_SPEEDUP = 3.0
 
 
 def _write_results(update: dict) -> None:
@@ -265,8 +270,7 @@ def test_slim_vs_full_payload():
 
 
 # --------------------------------------------------------------------------- #
-# Execution-arena run cost: per-execution backend.run() vs the object path
-# (and vs the pre-arena numbers recorded by earlier benchmark runs).
+# Execution-arena run cost: per-execution backend.run() vs the object path.
 # --------------------------------------------------------------------------- #
 def _run_cost_seconds(backend: SimulatedDeviceBackend, executions: int) -> float:
     kernel = cb_gemm(2048)
@@ -284,60 +288,31 @@ def _run_cost_seconds(backend: SimulatedDeviceBackend, executions: int) -> float
 @pytest.mark.bench
 def test_execution_arena_run_cost():
     """The arena engine beats the object path on per-execution run cost."""
-    # The pre-arena (PR 3) vectorized numbers are snapshotted once under
-    # their own key: ``device_run_cost`` is re-measured with the *current*
-    # (arena) engine by bench_device_scaling.py, so reading it live would
-    # turn the comparison into arena-vs-arena on every later bench run.
-    previous: dict[int, float] = {}
-    baseline_rows = None
-    if RESULT_PATH.exists():
-        try:
-            payload = json.loads(RESULT_PATH.read_text())
-            baseline_rows = payload.get("pre_arena_device_run_cost")
-            if baseline_rows is None:
-                baseline_rows = payload.get("device_run_cost")
-            for row in baseline_rows or []:
-                previous[row["executions"]] = row.get("vectorized_ms")
-        except (json.JSONDecodeError, TypeError, KeyError):
-            previous = {}
-            baseline_rows = None
     rows = []
     for executions in (20, 40, 80, 160):
         arena_s = _run_cost_seconds(make_backend(seed=3), executions)
         reference_s = _run_cost_seconds(
             SimulatedDeviceBackend(
-                spec=mi300x_spec(), seed=3, config=BackendConfig(vectorized=False)
+                spec=mi300x_spec(), seed=3, config=BackendConfig(engine="reference")
             ),
             executions,
         )
-        row = {
+        rows.append({
             "executions": executions,
             "arena_ms": arena_s * 1e3,
             "arena_us_per_execution": arena_s / executions * 1e6,
             "reference_ms": reference_s * 1e3,
             "speedup_vs_reference": reference_s / arena_s,
-        }
-        pre_arena_ms = previous.get(executions)
-        if pre_arena_ms:
-            row["pre_arena_ms"] = pre_arena_ms
-            row["speedup_vs_pre_arena"] = pre_arena_ms / row["arena_ms"]
-        rows.append(row)
+        })
     print("\n=== per-execution backend.run() cost: arena vs object path ===")
     for row in rows:
-        extra = ""
-        if "speedup_vs_pre_arena" in row:
-            extra = (f", pre-arena {row['pre_arena_ms']:.2f} ms "
-                     f"({row['speedup_vs_pre_arena']:.2f}x)")
         print(f"  {row['executions']:>4} executions: arena {row['arena_ms']:7.3f} ms "
               f"({row['arena_us_per_execution']:5.2f} us/exec), "
               f"object path {row['reference_ms']:7.3f} ms "
-              f"({row['speedup_vs_reference']:.1f}x){extra}")
-    update: dict = {"arena_run_cost": rows}
-    if baseline_rows:
-        update["pre_arena_device_run_cost"] = baseline_rows  # freeze the baseline
-    _write_results(update)
+              f"({row['speedup_vs_reference']:.1f}x)")
+    _write_results({"arena_run_cost": rows})
     for row in rows:
-        assert row["speedup_vs_reference"] >= 2.0, (
+        assert row["speedup_vs_reference"] >= MIN_ARENA_SPEEDUP, (
             f"arena path only {row['speedup_vs_reference']:.2f}x over the "
             f"object path at {row['executions']} executions"
         )

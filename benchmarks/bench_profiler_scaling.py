@@ -9,13 +9,18 @@ binning, stitching), not by the simulated GPU:
 
 * ``test_profiler_scaling_near_linear`` profiles the same short kernel at
   increasing run counts and asserts that per-run cost does not blow up.
-* ``test_vectorized_speedup_over_legacy`` reproduces the paper's hardest
-  case -- a ~13 us kernel whose SSE LOI scarcity drags the step-8 top-up loop
-  through many batches -- and compares the vectorized incremental engine
-  against the pre-PR implementation (``ProfilerConfig(vectorized=False)``:
-  pure-Python LOI extraction plus a full re-collect of every record per
-  batch).  Both pipelines produce bit-identical profiles; the vectorized one
-  must be at least 5x faster end-to-end.
+* ``test_incremental_speedup_over_recollect`` reproduces the paper's
+  hardest case -- a ~13 us kernel whose SSE LOI scarcity drags the step-8
+  top-up loop through many batches -- and compares the incremental
+  ``profile()`` (``ExecutionTimeBinner.extend`` + ``ProfileStitcher.extend``
+  per batch) against a full re-collect: the same binner and stitcher re-run
+  from scratch over every batch's whole record prefix.  The final profiles
+  must also be bit-identical to a rebuild by the retained scalar oracles
+  (``extract_lois_reference``, ``ExecutionTimeBinner.bin``,
+  ``profile_from_lois_reference``).  ``profile()`` must be at least
+  ``MIN_RECOLLECT_SPEEDUP`` faster, a floor below the ratio measured on a
+  2-CPU x86-64 container (Python 3.11).  The replayed backend makes the
+  ratio independent of the device engine and its kernel provider.
 
 Results are written to ``BENCH_profiler.json`` in the repository root.
 """
@@ -30,9 +35,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.binning import ExecutionTimeBinner
 from repro.core.differentiation import build_plan
+from repro.core.profile import ProfileKind, profile_from_lois_reference
 from repro.core.profiler import FinGraVProfiler, ProfilerConfig
 from repro.core.records import DelayCalibration, RunRecord
+from repro.core.stitching import ProfileStitcher, mean_duration_or_zero
+from repro.core.timesync import extract_lois_reference, synchronizer_for_run
 from repro.gpu.backend import SimulatedDeviceBackend
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm
@@ -46,6 +55,8 @@ BENCH_CONFIG = ProfilerConfig(
     seed=909, refine_ssp_with_power_search=False, max_additional_runs=TOPUP_BUDGET
 )
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_profiler.json"
+#: Floor below the measured incremental-vs-re-collect ratio (see module doc).
+MIN_RECOLLECT_SPEEDUP = 1.5
 
 
 class RecordPool:
@@ -94,8 +105,8 @@ class ReplayBackend:
     """A ProfilingBackend that serves pre-simulated records instantly.
 
     Every ``profile()`` call against a fresh ReplayBackend sees the same
-    deterministic sequence of records and probe results, so the vectorized
-    and legacy pipelines traverse identical inputs.
+    deterministic sequence of records and probe results, so repeated
+    measurements traverse identical inputs.
     """
 
     def __init__(self, pool: RecordPool) -> None:
@@ -137,10 +148,10 @@ def pool():
     return RecordPool(cb_gemm(KERNEL_SIZE), POOL_SIZE)
 
 
-def profile_seconds(pool: RecordPool, vectorized: bool, runs: int,
+def profile_seconds(pool: RecordPool, runs: int,
                     max_additional_runs: int | None = None, repetitions: int = 3):
     """Best-of-N wall time of one full profile() call (plus the result)."""
-    config = BENCH_CONFIG.with_overrides(vectorized=vectorized)
+    config = BENCH_CONFIG
     if max_additional_runs is not None:
         config = config.with_overrides(max_additional_runs=max_additional_runs)
     best = float("inf")
@@ -153,9 +164,43 @@ def profile_seconds(pool: RecordPool, vectorized: bool, runs: int,
     return result, best
 
 
-def _profiles_identical(left, right) -> bool:
-    for name in ("ssp_profile", "sse_profile", "run_profile"):
-        a, b = getattr(left, name), getattr(right, name)
+def oracle_profiles(result) -> dict:
+    """SSP/SSE profiles rebuilt from ``result.runs`` by the scalar oracles."""
+    runs = result.runs
+    binning = ExecutionTimeBinner(result.binning.margin).bin(
+        [run.ssp_execution.duration_s for run in runs]
+    )
+    golden = {runs[i].run_index for i in binning.selected_indices}
+    golden_runs = [run for run in runs if run.run_index in golden]
+    lois = [
+        loi
+        for run in golden_runs
+        for loi in extract_lois_reference(run, synchronizer_for_run(run, result.calibration))
+    ]
+
+    def build(kind, keep, execution_index):
+        execution_time = mean_duration_or_zero(
+            [run.execution(execution_index).duration_s for run in golden_runs]
+        )
+        return profile_from_lois_reference(
+            result.kernel_name, kind, [loi for loi in lois if keep(loi)], execution_time,
+            components=result.config.components,
+        )
+
+    ssp_start, sse_index = result.plan.ssp_index, result.plan.sse_index
+    return {
+        "ssp_profile": build(
+            ProfileKind.SSP, lambda loi: loi.execution_index >= ssp_start, ssp_start
+        ),
+        "sse_profile": build(
+            ProfileKind.SSE, lambda loi: loi.execution_index == sse_index, sse_index
+        ),
+    }
+
+
+def _profiles_identical(result, oracle: dict) -> bool:
+    for name, b in oracle.items():
+        a = getattr(result, name)
         if len(a) != len(b) or a.execution_time_s != b.execution_time_s:
             return False
         if not np.array_equal(a.times(), b.times()):
@@ -184,11 +229,10 @@ def test_profiler_scaling_near_linear(pool):
     counts = (60, 120, 240, 480)
     rows = []
     for runs in counts:
-        _, seconds = profile_seconds(pool, vectorized=True, runs=runs,
-                                     max_additional_runs=0)
+        _, seconds = profile_seconds(pool, runs=runs, max_additional_runs=0)
         rows.append({"runs": runs, "seconds": seconds,
                      "us_per_run": seconds / runs * 1e6})
-    print("\n=== profile() scaling (vectorized, replayed backend) ===")
+    print("\n=== profile() scaling (replayed backend) ===")
     for row in rows:
         print(f"  {row['runs']:>4} runs: {row['seconds']*1e3:7.2f} ms "
               f"({row['us_per_run']:6.1f} us/run)")
@@ -205,31 +249,66 @@ def test_profiler_scaling_near_linear(pool):
     )
 
 
+def batch_prefixes(pool: RecordPool, runs: int) -> list[int]:
+    """Record count after every collection batch of one profile() call."""
+    session = FinGraVProfiler(ReplayBackend(pool), BENCH_CONFIG).session(
+        pool.kernel, runs=runs
+    )
+    prefixes = []
+    while session.step():
+        prefixes.append(session.runs_collected)
+    return prefixes
+
+
+def recollect_seconds(result, prefixes: list[int], repetitions: int = 3) -> float:
+    """Best-of-N time of re-binning and re-stitching every batch prefix."""
+    runs = result.runs
+    durations = [run.ssp_execution.duration_s for run in runs]
+    ssp_start = result.plan.ssp_index
+    best = float("inf")
+    for _ in range(repetitions):
+        begin = time.perf_counter()
+        for count in prefixes:
+            binning = ExecutionTimeBinner(result.binning.margin).bin(durations[:count])
+            golden = [runs[i].run_index for i in binning.selected_indices]
+            series = ProfileStitcher(calibration=result.calibration).collect(runs[:count])
+            series.count_lois(min_execution_index=ssp_start, golden_runs=golden)
+            series.count_lois(execution_index=result.plan.sse_index, golden_runs=golden)
+        ProfileStitcher(calibration=result.calibration).section_profiles(
+            series, ("ssp", "sse", "run"), golden_runs=golden,
+            sse_index=result.plan.sse_index, min_execution_index=ssp_start,
+        )
+        best = min(best, time.perf_counter() - begin)
+    return best
+
+
 @pytest.mark.bench
-def test_vectorized_speedup_over_legacy(pool):
-    """The vectorized engine beats the pre-PR pipeline >=5x, bit-identically."""
-    vec_result, vec_seconds = profile_seconds(pool, vectorized=True,
-                                              runs=INITIAL_RUNS)
-    legacy_result, legacy_seconds = profile_seconds(pool, vectorized=False,
-                                                    runs=INITIAL_RUNS)
-    speedup = legacy_seconds / vec_seconds
-    topup_runs = vec_result.num_runs - INITIAL_RUNS
-    print("\n=== vectorized vs pre-PR profile() (replayed backend) ===")
+def test_incremental_speedup_over_recollect(pool):
+    """Incremental profile() beats a per-batch full re-collect, bit-identically."""
+    result, profile_s = profile_seconds(pool, runs=INITIAL_RUNS)
+    prefixes = batch_prefixes(pool, INITIAL_RUNS)
+    assert prefixes[-1] == result.num_runs
+    baseline_s = recollect_seconds(result, prefixes)
+    speedup = baseline_s / profile_s
+    topup_runs = result.num_runs - INITIAL_RUNS
+    print("\n=== incremental profile() vs per-batch re-collect (replayed backend) ===")
     print(f"  kernel {pool.kernel_name}: {pool.execution_time_s*1e6:.1f} us, "
-          f"{vec_result.num_runs} total runs ({topup_runs} top-up)")
-    print(f"  vectorized: {vec_seconds*1e3:7.2f} ms")
-    print(f"  legacy:     {legacy_seconds*1e3:7.2f} ms")
-    print(f"  speedup:    {speedup:.2f}x")
+          f"{result.num_runs} total runs ({topup_runs} top-up, {len(prefixes)} batches)")
+    print(f"  incremental: {profile_s*1e3:7.2f} ms")
+    print(f"  re-collect:  {baseline_s*1e3:7.2f} ms")
+    print(f"  speedup:     {speedup:.2f}x")
     _write_results({"topup": {
         "kernel": pool.kernel_name,
         "execution_time_s": pool.execution_time_s,
-        "total_runs": vec_result.num_runs,
+        "total_runs": result.num_runs,
         "topup_runs": topup_runs,
-        "vectorized_seconds": vec_seconds,
-        "legacy_seconds": legacy_seconds,
+        "batches": len(prefixes),
+        "incremental_seconds": profile_s,
+        "recollect_seconds": baseline_s,
         "speedup": speedup,
     }})
-    assert vec_result.num_runs == legacy_result.num_runs
-    assert _profiles_identical(vec_result, legacy_result)
+    assert _profiles_identical(result, oracle_profiles(result))
     assert topup_runs >= 200, f"scenario lost its top-up ({topup_runs} runs)"
-    assert speedup >= 5.0, f"vectorized speedup {speedup:.2f}x below 5x"
+    assert speedup >= MIN_RECOLLECT_SPEEDUP, (
+        f"incremental profile() only {speedup:.2f}x over the per-batch re-collect"
+    )

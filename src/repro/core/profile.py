@@ -879,7 +879,11 @@ def profile_from_lois_reference(
     components: Sequence[str] = COMPONENT_KEYS,
     metadata: Mapping[str, object] | None = None,
 ) -> FineGrainProfile:
-    """Object-based reference construction (one frozen point per LOI)."""
+    """Object-based reference construction (one frozen point per LOI).
+
+    Kept as the oracle the equivalence tests and benchmarks pin
+    :func:`profile_from_lois` against; no configuration selects it.
+    """
     points = tuple(point_from_loi(loi, components) for loi in lois)
     return FineGrainProfile(
         kernel_name=kernel_name,

@@ -79,16 +79,6 @@ class ProfilerConfig:
     ssp_tail_fraction: float = 0.25
     min_ssp_tail_executions: int = 2
     max_ssp_tail_executions: int = 12
-    #: Use the vectorized, incremental stitching engine.  ``False`` selects the
-    #: legacy pipeline (pure-Python LOI extraction, full re-collect of every
-    #: record each top-up batch), retained as the reference implementation for
-    #: equivalence tests and the scaling benchmark.
-    vectorized: bool = True
-    #: Build profiles columnar (arrays straight from the stitched series, lazy
-    #: point materialisation).  ``False`` selects the retained object-based
-    #: construction (one frozen ProfilePoint per LOI), pinned bit-identical by
-    #: the equivalence tests.
-    columnar: bool = True
     #: What :meth:`FinGraVProfiler.profile` returns.  ``"full"`` is the
     #: complete :class:`FinGraVResult` (raw run records included);
     #: ``"slim"`` is its :class:`SlimFinGraVResult` projection -- bit-identical
@@ -556,13 +546,6 @@ class FinGraVProfiler:
     def _ssp_start_index(self, plan: DifferentiationPlan) -> int:
         """First execution index whose LOIs belong to the SSP profile."""
         return plan.ssp_index if self._config.differentiate else plan.sse_index
-
-    @staticmethod
-    def _count_golden(lois: Sequence[object], golden_indices: Sequence[int] | None) -> int:
-        if golden_indices is None:
-            return len(lois)
-        wanted = set(golden_indices)
-        return sum(1 for loi in lois if loi.run_index in wanted)
 
     def _describe_preceding(self, work: PrecedingWork) -> str:
         kernel, executions = work

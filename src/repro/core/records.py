@@ -184,7 +184,7 @@ class _LazyRecordView(SequenceABC):
 class ExecutionTimings(_LazyRecordView):
     """Columnar, tuple-compatible view over host-observed execution timings.
 
-    The vectorized backend stages each launch sequence's start/end times in an
+    The compiled-engine backend stages each launch sequence's start/end times in an
     :class:`ExecutionArena` instead of constructing one frozen
     :class:`ExecutionTiming` per execution; run records then adopt the arena's
     columns through this view.  It behaves exactly like the tuple of
@@ -247,7 +247,7 @@ class ExecutionTimings(_LazyRecordView):
 class PowerReadings(_LazyRecordView):
     """Columnar, tuple-compatible view over a run's power readings.
 
-    Built by the vectorized backend straight from the sampler's columnar
+    Built by the compiled-engine backend straight from the sampler's columnar
     output: timestamp ticks, one shared averaging-window length, total watts
     and an ``(n, k)`` per-component power matrix.  Indexing or iterating
     materialises :class:`PowerReading` objects with the identical field values
@@ -313,7 +313,7 @@ class PowerReadings(_LazyRecordView):
 class ExecutionArena:
     """Reusable columnar staging area for one record field's execution timings.
 
-    The vectorized launch path appends each execution's ``(start, end)``
+    The compiled launch path appends each execution's ``(start, end)``
     floats into the arena's flat buffers -- one block descriptor per launch
     sequence carries the kernel name and the contiguous index range -- and
     :meth:`take` snapshots the staged block(s) as an
@@ -385,7 +385,7 @@ class ExecutionArena:
 class ReadingColumns:
     """Structure-of-arrays view over a run's power readings.
 
-    The vectorized LOI extractor and profile builders consume these columns
+    The array-based LOI extractor and profile builders consume these columns
     instead of iterating :class:`PowerReading` objects.  Only the timestamp
     ticks are materialised eagerly (they are what the extraction hot path
     needs); the power/window columns are built on first access.  ``powers_w``
@@ -534,7 +534,7 @@ class RunRecord:
     ``readings`` / ``executions`` / ``preceding_executions`` hold either plain
     tuples of the record objects (the reference backend path) or the
     tuple-compatible columnar views :class:`PowerReadings` /
-    :class:`ExecutionTimings` (the vectorized arena path).  Both compare equal
+    :class:`ExecutionTimings` (the compiled-engine arena path).  Both compare equal
     element-wise; the ``*_columns`` accessors adopt a view's arrays directly.
     """
 

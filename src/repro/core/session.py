@@ -167,8 +167,6 @@ class ProfileSession:
             components=config.components,
             calibration=self._calibration if config.synchronize else None,
             synchronize=config.synchronize,
-            vectorized=config.vectorized,
-            columnar=config.columnar,
         )
         self._series: StitchedRunSeries | None = None
         self._base_metadata = dict(metadata or {})
@@ -433,71 +431,38 @@ class ProfileSession:
     def _ingest(self, new_records: tuple[RunRecord, ...]) -> None:
         """Step 6-7 for one batch: re-bin golden runs, stitch the new LOIs.
 
-        On the vectorized path the binner keeps its sorted state and the
-        stitcher extracts only the new records (ExecutionTimeBinner.extend /
-        ProfileStitcher.extend); the legacy path re-bins and re-extracts the
-        full record list every batch, exactly as the pre-session profiler
-        did.
+        The binner keeps its sorted state and the stitcher extracts only the
+        new records (ExecutionTimeBinner.extend / ProfileStitcher.extend).
         """
-        config = self._config
         self._records = self._records + new_records
         self._batches += 1
         if self._binner is not None and new_records:
-            if config.vectorized:
-                self._binning = self._binner.extend(
-                    record.ssp_execution.duration_s for record in new_records
-                )
-            else:
-                # Legacy behaviour: rebuild the binner and the duration list
-                # from scratch every batch.
-                self._binner = ExecutionTimeBinner(self._margin)
-                self._binning = self._binner.bin(
-                    [record.ssp_execution.duration_s for record in self._records]
-                )
+            self._binning = self._binner.extend(
+                record.ssp_execution.duration_s for record in new_records
+            )
             self._golden_indices = [
                 self._records[i].run_index for i in self._binning.selected_indices
             ]
-        if config.vectorized:
-            if self._series is None:
-                self._series = self._stitcher.collect(self._records)
-            else:
-                self._series = self._stitcher.extend(self._series, new_records)
-        else:
-            # Legacy behaviour: re-extract the entire record list.
+        if self._series is None:
             self._series = self._stitcher.collect(self._records)
+        else:
+            self._series = self._stitcher.extend(self._series, new_records)
 
     def _ssp_have(self) -> int:
-        config = self._config
         series = self._series
         assert series is not None
-        if config.vectorized:
-            if self._ssp_start is None:
-                return series.count_last_execution_lois(self._golden_indices)
-            return series.count_lois(
-                min_execution_index=self._ssp_start, golden_runs=self._golden_indices
-            )
-        # Legacy (pre-vectorization) behaviour: materialise the LOI lists.
         if self._ssp_start is None:
-            lois = series.lois_for_last_execution()
-        else:
-            lois = [
-                loi for loi in series.all_lois()
-                if loi.execution_index >= self._ssp_start
-            ]
-        return self._profiler._count_golden(lois, self._golden_indices)
+            return series.count_last_execution_lois(self._golden_indices)
+        return series.count_lois(
+            min_execution_index=self._ssp_start, golden_runs=self._golden_indices
+        )
 
     def _shortfall(self) -> int:
-        config = self._config
         series = self._series
         assert series is not None
-        if config.vectorized:
-            sse_have = series.count_lois(
-                execution_index=self._plan.sse_index, golden_runs=self._golden_indices
-            )
-        else:
-            sse_have = self._profiler._count_golden(
-                series.lois_for_execution(self._plan.sse_index), self._golden_indices
-            )
+        sse_have = series.count_lois(
+            execution_index=self._plan.sse_index, golden_runs=self._golden_indices
+        )
         return max(self._target_lois - self._ssp_have(), self._sse_target - sse_have)
 
     def _section_samples(self, section: str) -> tuple[np.ndarray, np.ndarray]:

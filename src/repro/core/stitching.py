@@ -21,7 +21,6 @@ from .profile import (
     ProfileKind,
     ProfilePoint,
     component_column,
-    profile_from_lois_reference,
 )
 from .records import (
     COMPONENT_KEYS,
@@ -34,9 +33,7 @@ from .records import (
 from .timesync import (
     extract_lois,
     extract_lois_batch,
-    extract_lois_reference,
     extract_lois_unsynchronized,
-    extract_lois_unsynchronized_reference,
     match_execution_positions,
     synchronizer_for_run,
 )
@@ -231,11 +228,11 @@ class StitchedRunSeries:
 class ProfileStitcher:
     """Builds fine-grain profiles from run records.
 
-    ``columnar=True`` (the default) assembles profiles directly from the
-    series' columnar LOI views -- one boolean mask plus array slices per
-    profile, no intermediate :class:`ProfilePoint` objects.  ``columnar=False``
-    retains the object-based construction; equivalence tests pin the two
-    bit-identical.
+    LOIs of all runs are extracted in one batched pass where possible
+    (:func:`~repro.core.timesync.extract_lois_batch`), and profiles are
+    assembled directly from the series' columnar LOI views -- one boolean
+    mask plus array slices per profile, no intermediate
+    :class:`ProfilePoint` objects.
     """
 
     def __init__(
@@ -243,26 +240,17 @@ class ProfileStitcher:
         components: Sequence[str] = COMPONENT_KEYS,
         calibration: DelayCalibration | None = None,
         synchronize: bool = True,
-        vectorized: bool = True,
-        columnar: bool = True,
     ) -> None:
         self._components = tuple(components)
         self._calibration = calibration
         self._synchronize = synchronize
-        self._vectorized = vectorized
-        self._columnar = columnar
 
     @property
     def synchronize(self) -> bool:
         return self._synchronize
-
     @property
-    def vectorized(self) -> bool:
-        return self._vectorized
-
-    @property
-    def columnar(self) -> bool:
-        return self._columnar
+    def synchronize(self) -> bool:
+        return self._synchronize
 
     # ------------------------------------------------------------------ #
     # LOI extraction across runs.
@@ -289,29 +277,23 @@ class ProfileStitcher:
         return series
 
     def _stitch_into(self, series: StitchedRunSeries, runs: Sequence[RunRecord]) -> None:
-        if self._vectorized:
-            batch = extract_lois_batch(
-                list(runs),
-                calibration=self._calibration if self._synchronize else None,
-                synchronize=self._synchronize,
-            )
-            if batch is not None:
-                for run, (lois, match) in zip(runs, batch):
-                    series.add_run(run, lois, reading_match=match)
-                return
+        batch = extract_lois_batch(
+            list(runs),
+            calibration=self._calibration if self._synchronize else None,
+            synchronize=self._synchronize,
+        )
+        if batch is not None:
+            for run, (lois, match) in zip(runs, batch):
+                series.add_run(run, lois, reading_match=match)
+            return
         for run in runs:
             series.add_run(run, self._extract(run))
 
     def _extract(self, run: RunRecord) -> list[LogOfInterest]:
         if self._synchronize:
-            synchronizer = synchronizer_for_run(run, self._calibration)
-            if self._vectorized:
-                return extract_lois(run, synchronizer)
-            return extract_lois_reference(run, synchronizer)
+            return extract_lois(run, synchronizer_for_run(run, self._calibration))
         logger_start = float(run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s))
-        if self._vectorized:
-            return extract_lois_unsynchronized(run, logger_start)
-        return extract_lois_unsynchronized_reference(run, logger_start)
+        return extract_lois_unsynchronized(run, logger_start)
 
     # ------------------------------------------------------------------ #
     # Execution-level (SSP/SSE) profiles.
@@ -333,24 +315,14 @@ class ProfileStitcher:
         """
         which: int | str = "last" if min_execution_index is None else min_execution_index
         execution_time = self._execution_time(series, golden_runs, which=which)
-        if self._columnar:
-            run_idx, exec_idx = series.loi_index_arrays()
-            if min_execution_index is None:
-                mask = exec_idx == series.loi_last_execution_array()
-            else:
-                mask = exec_idx >= min_execution_index
-            return self._profile_from_series(
-                series, self._golden_mask(mask, run_idx, golden_runs),
-                ProfileKind.SSP, execution_time, metadata,
-            )
+        run_idx, exec_idx = series.loi_index_arrays()
         if min_execution_index is None:
-            lois = series.lois_for_last_execution()
+            mask = exec_idx == series.loi_last_execution_array()
         else:
-            lois = series.lois_from_execution(min_execution_index)
-        lois = self._filtered(lois, golden_runs)
-        return profile_from_lois_reference(
-            series.kernel_name, ProfileKind.SSP, lois, execution_time,
-            components=self._components, metadata=metadata,
+            mask = exec_idx >= min_execution_index
+        return self._profile_from_series(
+            series, self._golden_mask(mask, run_idx, golden_runs),
+            ProfileKind.SSP, execution_time, metadata,
         )
 
     def sse_profile(
@@ -362,16 +334,10 @@ class ProfileStitcher:
     ) -> FineGrainProfile:
         """Profile of the SSE execution (first post-warm-up) across runs."""
         execution_time = self._execution_time(series, golden_runs, which=sse_index)
-        if self._columnar:
-            run_idx, exec_idx = series.loi_index_arrays()
-            mask = self._golden_mask(exec_idx == sse_index, run_idx, golden_runs)
-            return self._profile_from_series(
-                series, mask, ProfileKind.SSE, execution_time, metadata
-            )
-        lois = self._filtered(series.lois_for_execution(sse_index), golden_runs)
-        return profile_from_lois_reference(
-            series.kernel_name, ProfileKind.SSE, lois, execution_time,
-            components=self._components, metadata=metadata,
+        run_idx, exec_idx = series.loi_index_arrays()
+        mask = self._golden_mask(exec_idx == sse_index, run_idx, golden_runs)
+        return self._profile_from_series(
+            series, mask, ProfileKind.SSE, execution_time, metadata
         )
 
     def execution_profile(
@@ -382,16 +348,10 @@ class ProfileStitcher:
     ) -> FineGrainProfile:
         """Profile of an arbitrary execution index (used for outlier studies)."""
         execution_time = self._execution_time(series, golden_runs, which=execution_index)
-        if self._columnar:
-            run_idx, exec_idx = series.loi_index_arrays()
-            mask = self._golden_mask(exec_idx == execution_index, run_idx, golden_runs)
-            return self._profile_from_series(
-                series, mask, ProfileKind.CUSTOM, execution_time, None
-            )
-        lois = self._filtered(series.lois_for_execution(execution_index), golden_runs)
-        return profile_from_lois_reference(
-            series.kernel_name, ProfileKind.CUSTOM, lois, execution_time,
-            components=self._components,
+        run_idx, exec_idx = series.loi_index_arrays()
+        mask = self._golden_mask(exec_idx == execution_index, run_idx, golden_runs)
+        return self._profile_from_series(
+            series, mask, ProfileKind.CUSTOM, execution_time, None
         )
 
     # ------------------------------------------------------------------ #
@@ -412,31 +372,7 @@ class ProfileStitcher:
         """
         selected = set(golden_runs) if golden_runs is not None else None
         durations: list[float] = []
-        if self._columnar:
-            chunks: list[ProfileColumns] = []
-            for run_index, run in series.runs.items():
-                if selected is not None and run_index not in selected:
-                    continue
-                if not run.executions:
-                    continue
-                origin = run.first_execution.cpu_start_s
-                durations.append(run.last_execution.cpu_end_s - origin)
-                chunks.append(
-                    self._run_columns(
-                        run,
-                        origin,
-                        include_non_execution_readings,
-                        cached_match=series.reading_match(run_index),
-                    )
-                )
-            return FineGrainProfile(
-                kernel_name=series.kernel_name,
-                kind=ProfileKind.RUN,
-                execution_time_s=mean_duration_or_zero(durations),
-                metadata=dict(metadata or {}),
-                columns=ProfileColumns.concatenate(chunks),
-            )
-        points: list[ProfilePoint] = []
+        chunks: list[ProfileColumns] = []
         for run_index, run in series.runs.items():
             if selected is not None and run_index not in selected:
                 continue
@@ -444,21 +380,20 @@ class ProfileStitcher:
                 continue
             origin = run.first_execution.cpu_start_s
             durations.append(run.last_execution.cpu_end_s - origin)
-            points.extend(
-                self._run_points(
+            chunks.append(
+                self._run_columns(
                     run,
                     origin,
                     include_non_execution_readings,
                     cached_match=series.reading_match(run_index),
                 )
             )
-        execution_time = mean_duration_or_zero(durations)
         return FineGrainProfile(
             kernel_name=series.kernel_name,
             kind=ProfileKind.RUN,
-            points=tuple(points),
-            execution_time_s=execution_time,
+            execution_time_s=mean_duration_or_zero(durations),
             metadata=dict(metadata or {}),
+            columns=ProfileColumns.concatenate(chunks),
         )
 
     def section_profiles(
@@ -575,27 +510,9 @@ class ProfileStitcher:
             # Window-end times and execution matches were already computed by
             # the batched extractor; reuse them.
             times, positions = cached_match
-        elif self._vectorized:
+        else:
             times = self._window_end_times(run)
             positions = match_execution_positions(run, times)
-        else:
-            # Legacy (pre-vectorization) behaviour: per-reading time mapping
-            # and a linear execution scan per reading, below.
-            if self._synchronize:
-                synchronizer = synchronizer_for_run(run, self._calibration)
-                times = [
-                    synchronizer.cpu_time_of(reading.gpu_timestamp_ticks)
-                    for reading in run.readings
-                ]
-            else:
-                logger_start = float(
-                    run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s)
-                )
-                times = [
-                    logger_start + (i + 1) * run.logger_period_s
-                    for i in range(len(run.readings))
-                ]
-            positions = None
         span_start = run.first_execution.cpu_start_s
         span_end = run.last_execution.cpu_end_s
         # Fast path for the common case where every reading carries exactly
@@ -620,15 +537,8 @@ class ProfileStitcher:
                 for component in self._components:
                     if reading.has_component(component):
                         powers[component] = reading.component(component)
-            if positions is not None:
-                position = int(positions[i])
-                execution_index = run.executions[position].index if position >= 0 else -1
-            else:
-                execution_index = -1
-                for execution in run.executions:
-                    if execution.contains(window_end):
-                        execution_index = execution.index
-                        break
+            position = int(positions[i])
+            execution_index = run.executions[position].index if position >= 0 else -1
             points.append(
                 ProfilePoint(
                     time_s=window_end - origin_cpu_s,
@@ -687,15 +597,6 @@ class ProfileStitcher:
             return mask
         wanted = np.fromiter((int(i) for i in golden_runs), dtype=np.int64)
         return mask & np.isin(run_idx, wanted)
-
-    @staticmethod
-    def _filtered(
-        lois: Sequence[LogOfInterest], golden_runs: Sequence[int] | None
-    ) -> list[LogOfInterest]:
-        if golden_runs is None:
-            return list(lois)
-        wanted = set(golden_runs)
-        return [loi for loi in lois if loi.run_index in wanted]
 
     @staticmethod
     def _execution_time(

@@ -383,9 +383,9 @@ def extract_lois_reference(
 ) -> list[LogOfInterest]:
     """Pure-Python reference implementation of :func:`extract_lois`.
 
-    One reading at a time, one linear execution scan per reading.  Kept for
-    equivalence tests and for benchmarking the vectorized path against the
-    original implementation.
+    One reading at a time, one linear execution scan per reading.  Kept as
+    the oracle the equivalence tests and benchmarks pin the array-based path
+    against; no configuration selects it.
     """
     wanted = set(execution_indices) if execution_indices is not None else None
     lois: list[LogOfInterest] = []

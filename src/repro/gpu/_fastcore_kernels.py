@@ -1,23 +1,22 @@
 """Kernel bodies of the compiled slice/boundary core, in njit-able Python.
 
 This module is the *single transcription* of the device's measured hot loops
--- the idle per-period loop of :meth:`SimulatedGPU._idle_fast`, the execution
-slice loop of :meth:`SimulatedGPU._execute_fast`, the firmware control
+-- the idle per-period loop, the execution slice loop, the firmware control
 boundary of :meth:`SimulatedGPU._maybe_step_firmware` /
 :meth:`PowerManagementFirmware.step`, and the closed-form thermal relaxation
 of :meth:`ThermalModel.relax_span` -- into a form Numba can ``@njit`` and a C
-compiler can mirror line for line (``_fastcore_cc``).  Every expression is a
-verbatim copy of the corresponding Python engine statement (same operand
-order, same comparisons, same clamps), so the compiled engines replay the
-vectorized engine's iterated-float arithmetic bit for bit; the equivalence
-suite pins that contract.  When editing the device hot paths, keep this file
-and the C source in ``_fastcore_cc`` in lockstep.
+compiler can mirror line for line (``_fastcore_cc``).  Every expression
+mirrors the corresponding statement of the per-slice reference engine (same
+operand order, same comparisons, same clamps); the only intended divergence
+is the once-per-span idle warmth relaxation, which agrees with the
+reference's per-slice stepping to ~1 ulp.  The equivalence suite pins that
+contract.  When editing the device physics, keep this file and the C source
+in ``_fastcore_cc`` in lockstep.
 
 When Numba is importable every function below is compiled with
 ``@njit(cache=True)`` at import time; otherwise the plain Python definitions
-remain, which makes this module double as the ``python`` provider (slow --
-used only to validate the kernel algorithm without Numba, never selected
-automatically).
+remain.  Either way :mod:`repro.gpu.fastcore` can run the plain bodies as
+the ``python`` provider, the last link of the provider chain.
 
 Data layout (shared with the C core)
 ------------------------------------
@@ -34,7 +33,7 @@ Data layout (shared with the C core)
   [0] base_duration_s  [1] frequency_sensitivity  [2] cold_duration_multiplier
   [3] cold_executions  [4] n_phases, then per phase
   (cumulative_fraction, xcd_act, iod_util, hbm_warm, hbm_cold) -- the exact
-  rows of ``SimulatedGPU._descriptor_profile``.
+  rows of ``SimulatedGPU._fc_descriptor``.
 
 ``seg`` -- float64[cap, 5] output power slices (start, end, xcd, iod, hbm).
 ``ev``  -- float64[cap, 4] output firmware events (time, state code, freq, power).
@@ -218,7 +217,7 @@ def fw_step(st, pp, ev, lens, now, dt, power, resident):
 
 @_njit(cache=True)
 def fw_arrival(st, pp, ev, lens, now):
-    """``_execute_fast``'s arrival hook (notify_kernel_arrival, inlined)."""
+    """The execution arrival hook (notify_kernel_arrival, inlined)."""
     st[S_IDLEAC] = 0.0
     s = int(st[S_FWST])
     if s == FW_IDLE or s == FW_RAMPING:
@@ -251,15 +250,15 @@ def control_boundary(st, pp, ev, lens):
 
 
 # --------------------------------------------------------------------- #
-# Idle span (SimulatedGPU._idle_fast's per-period loop, transcribed).
+# Idle span (SimulatedGPU._idle_reference's per-slice loop, transcribed).
 # --------------------------------------------------------------------- #
 @_njit(cache=True)
 def idle_core(st, pp, duration, record, seg, ev, lens):
     """One idle span: per-period loop + one closed-form cool relaxation.
 
     Identical slice boundaries, accumulator arithmetic and firmware updates
-    as ``_idle_fast`` (which needs no batched-grid special case here -- the
-    compiled per-period loop is cheap at any span length).
+    as ``SimulatedGPU._idle_reference``; warmth is relaxed once for the whole
+    span instead of once per slice.
     """
     if duration <= 1e-12:
         return 0
@@ -327,7 +326,7 @@ def idle_core(st, pp, duration, record, seg, ev, lens):
 
 
 # --------------------------------------------------------------------- #
-# Kernel execution (SimulatedGPU._execute_fast's slice loop, transcribed).
+# Kernel execution (SimulatedGPU._execute_reference's slice loop, transcribed).
 # --------------------------------------------------------------------- #
 @_njit(cache=True)
 def execute_core(st, pp, desc, time_factor, cold, record, seg, ev, lens, out8):
@@ -336,7 +335,8 @@ def execute_core(st, pp, desc, time_factor, cold, record, seg, ev, lens, out8):
     The caller owns the RNG draws (jitter / run factor arrive folded into
     ``time_factor``) and the cache-state bookkeeping (``cold`` arrives
     resolved); everything between -- firmware arrival, the slice loop, power,
-    thermal and control accumulation -- replays ``_execute_fast`` exactly.
+    thermal and control accumulation -- replays
+    ``SimulatedGPU._execute_reference`` with hoisted per-phase utilisations.
     """
     now = st[S_NOW]
     start_s = now

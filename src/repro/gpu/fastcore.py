@@ -1,51 +1,61 @@
 """Compiled slice/boundary core: providers, self-check and engine selection.
 
-The device offers a three-tier engine matrix:
+The device offers two engines:
 
 ``compiled``
-    The hot loops (idle per-period loop, execution slice loop, firmware
-    control boundary, closed-form thermal relaxation) run as compiled
-    kernels.  Two providers exist -- ``numba`` (``@njit(cache=True)`` over
-    :mod:`repro.gpu._fastcore_kernels`, preferred; installed via the
-    ``fast`` extra) and ``cc`` (the same kernels hand-mirrored in C,
-    compiled once with the system C compiler and bound through ctypes,
-    :mod:`repro.gpu._fastcore_cc`).  A one-time self-check replays a fixed
-    scenario through the candidate provider and through the pure-Python
-    kernel bodies and requires bit-for-bit agreement before the provider is
-    ever selected; on failure the engine silently *is not* compiled -- auto
-    selection falls back to ``vectorized`` (with a single warning when a
-    provider was present but failed, see below).
-``vectorized``
-    The batched NumPy/float engine (``SimulatedGPU._idle_fast`` /
-    ``_execute_fast``) -- the pinned mid-tier, always available.
+    The fast path.  The hot loops (idle per-period loop, execution slice
+    loop, firmware control boundary, closed-form thermal relaxation) run as
+    the kernels of :mod:`repro.gpu._fastcore_kernels`, served by the first
+    provider of the chain ``numba`` -> ``cc`` -> ``python`` that loads and
+    passes its self-check:
+
+    * ``numba`` -- ``@njit(cache=True)`` over the kernel bodies (installed
+      via the ``fast`` extra);
+    * ``cc`` -- the same kernels hand-mirrored in C, compiled once with the
+      system C compiler and bound through ctypes
+      (:mod:`repro.gpu._fastcore_cc`);
+    * ``python`` -- the un-jitted kernel bodies themselves.  Slow, but it
+      needs nothing beyond NumPy, so it always resolves.
+
+    A one-time self-check replays a fixed scenario through a candidate
+    provider and through the pure-Python kernel bodies and requires
+    bit-for-bit agreement before the provider is selected.
 ``reference``
     The per-slice object path -- the executable specification.
 
 Selection
 ---------
 :func:`resolve_engine` implements the precedence *explicit argument* >
-``REPRO_ENGINE`` environment variable > auto.  ``auto`` picks ``compiled``
-when a provider passes the self-check and ``vectorized`` otherwise (silent
-fallback); explicitly requesting ``compiled`` when no provider is usable
-falls back to ``vectorized`` with a single warning.  The provider itself can
-be pinned with ``REPRO_FASTCORE_PROVIDER`` (``auto`` | ``numba`` | ``cc`` |
-``python`` | ``none``); ``python`` is the uncompiled kernel bodies (slow --
-for debugging/validation only) and ``none`` disables the compiled tier
-entirely, which makes the import-free path identical to a container without
-Numba or a C compiler.
+``REPRO_ENGINE`` environment variable > auto; ``auto`` always picks
+``compiled``.  The provider can be pinned with ``REPRO_FASTCORE_PROVIDER``
+(``auto`` | ``numba`` | ``cc`` | ``python``; any other value raises
+``ValueError``).  A pinned ``numba``/``cc`` provider that cannot load, or
+any provider that fails its self-check, falls back to the ``python`` bodies
+with a single warning; under ``auto`` a merely absent provider is skipped
+silently.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import _fastcore_kernels as _K
 
 #: Engines accepted by BackendConfig.engine / SimulatedGPU(engine=...).
-VALID_ENGINES = ("compiled", "vectorized", "reference")
+VALID_ENGINES = ("compiled", "reference")
+
+#: Provider candidates per ``REPRO_FASTCORE_PROVIDER`` value, tried in order;
+#: ``python`` closes every chain because it always resolves.
+PROVIDER_CHAINS = {
+    "auto": ("numba", "cc", "python"),
+    "numba": ("numba", "python"),
+    "cc": ("cc", "python"),
+    "python": ("python",),
+}
 
 #: Kernel functions swapped to their pure-Python bodies for the self-check
 #: reference run (outermost last, so nested calls resolve pure as well).
@@ -85,6 +95,41 @@ def _numba_importable() -> bool:
     return _K.HAVE_NUMBA
 
 
+@contextmanager
+def _pure_kernels():
+    """Run the kernel chain as its pure-Python bodies for the duration.
+
+    When Numba is active the module-level kernels are dispatchers; their
+    original bodies are temporarily swapped back in (nested calls resolve
+    through the module globals at call time, so the whole chain runs pure).
+    Without Numba the bodies already are plain Python and nothing changes.
+    """
+    swapped: dict[str, object] = {}
+    for name in _KERNEL_CHAIN:
+        func = getattr(_K, name)
+        py_func = getattr(func, "py_func", None)
+        if py_func is not None:
+            swapped[name] = func
+            setattr(_K, name, py_func)
+    try:
+        yield
+    finally:
+        for name, func in swapped.items():
+            setattr(_K, name, func)
+
+
+def _unjitted(entry):
+    """An entry point that always runs the pure-Python kernel bodies."""
+    if not _K.HAVE_NUMBA:
+        return entry
+
+    def call(*args):
+        with _pure_kernels():
+            return entry(*args)
+
+    return call
+
+
 def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
     if name == "numba":
         if not _numba_importable():
@@ -102,9 +147,15 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
             None,
         )
     if name == "python":
-        # The kernels module as imported: pure Python without Numba (slow,
-        # debugging/validation only), jitted when Numba is present.
-        return KernelBundle("python", _K.k_idle, _K.k_execute, _K.k_sequence), None
+        return (
+            KernelBundle(
+                "python",
+                _unjitted(_K.k_idle),
+                _unjitted(_K.k_execute),
+                _unjitted(_K.k_sequence),
+            ),
+            None,
+        )
     if name == "cc":
         try:
             from . import _fastcore_cc
@@ -260,24 +311,9 @@ def _run_scenario(idle, execute, sequence) -> dict[str, np.ndarray]:
 
 
 def _run_scenario_pure() -> dict[str, np.ndarray]:
-    """Reference run over the pure-Python kernel bodies.
-
-    When Numba is active the module-level kernels are dispatchers; their
-    original bodies are temporarily swapped back in (nested calls resolve
-    through the module globals at call time, so the whole chain runs pure).
-    """
-    swapped: dict[str, object] = {}
-    for name in _KERNEL_CHAIN:
-        func = getattr(_K, name)
-        py_func = getattr(func, "py_func", None)
-        if py_func is not None:
-            swapped[name] = func
-            setattr(_K, name, py_func)
-    try:
+    """Reference run over the pure-Python kernel bodies."""
+    with _pure_kernels():
         return _run_scenario(_K.k_idle, _K.k_execute, _K.k_sequence)
-    finally:
-        for name, func in swapped.items():
-            setattr(_K, name, func)
 
 
 def self_check(bundle: KernelBundle) -> str | None:
@@ -301,9 +337,7 @@ def self_check(bundle: KernelBundle) -> str | None:
 # --------------------------------------------------------------------- #
 # Resolution (cached once per process).
 # --------------------------------------------------------------------- #
-_RESOLVED = False
 _BUNDLE: KernelBundle | None = None
-_FAILURE: str | None = None
 _WARNED: set[str] = set()
 
 
@@ -316,120 +350,96 @@ def _warn_once(key: str, message: str) -> None:
 
 def _reset_for_tests() -> None:
     """Drop the cached provider resolution (test helper)."""
-    global _RESOLVED, _BUNDLE, _FAILURE
-    _RESOLVED = False
+    global _BUNDLE
     _BUNDLE = None
-    _FAILURE = None
     _WARNED.clear()
 
 
 def provider_request() -> str:
-    return os.environ.get("REPRO_FASTCORE_PROVIDER", "").strip().lower() or "auto"
+    """The ``REPRO_FASTCORE_PROVIDER`` value (``auto`` when unset), validated."""
+    request = os.environ.get("REPRO_FASTCORE_PROVIDER", "").strip().lower() or "auto"
+    if request not in PROVIDER_CHAINS:
+        raise ValueError(
+            f"unknown REPRO_FASTCORE_PROVIDER {request!r}: valid providers are "
+            f"{'|'.join(PROVIDER_CHAINS)}"
+        )
+    return request
 
 
-def kernels() -> KernelBundle | None:
-    """The active compiled-kernel provider, or ``None`` when unavailable.
+def kernels() -> KernelBundle:
+    """The active compiled-kernel provider.
 
-    Resolution runs once per process: candidate providers (``numba`` then
-    ``cc`` under ``auto``) are loaded and self-checked in order; the first
-    that passes wins.  A provider that *loaded* but failed its self-check
-    warns once -- that is the documented silently-degraded path auto
-    selection then routes to the vectorized engine.
+    Resolution runs once per process: the candidates of the requested chain
+    (``numba``, ``cc``, ``python`` under ``auto``) are loaded and
+    self-checked in order and the first that passes wins.  A candidate that
+    loaded but failed its self-check warns once, and so does a pinned
+    provider that did not load; ``python`` (the kernel bodies themselves)
+    always resolves, so a bundle is always returned.
     """
-    global _RESOLVED, _BUNDLE, _FAILURE
-    if _RESOLVED:
+    global _BUNDLE
+    if _BUNDLE is not None:
         return _BUNDLE
     request = provider_request()
-    candidate_sets = {
-        "auto": ("numba", "cc"),
-        "numba": ("numba",),
-        "cc": ("cc",),
-        "python": ("python",),
-        "none": (),
-    }
-    candidates = candidate_sets.get(request)
     bundle: KernelBundle | None = None
-    errors: list[str] = []
-    if candidates is None:
-        errors.append(f"unknown REPRO_FASTCORE_PROVIDER {request!r}")
-    else:
-        for name in candidates:
-            loaded, error = _load_provider(name)
-            if loaded is None:
-                errors.append(error or f"{name}: unavailable")
-                continue
-            error = self_check(loaded)
-            if error is None:
-                bundle = loaded
-                break
-            errors.append(f"{name}: {error}")
-            _warn_once(
-                f"self-check:{name}",
-                f"fastcore provider {name!r} failed its self-check ({error}); "
-                "the compiled engine is disabled and auto selection falls "
-                "back to the vectorized engine",
-            )
+    for name in PROVIDER_CHAINS[request]:
+        loaded, error = _load_provider(name)
+        if loaded is None:
+            if request == name:
+                _warn_once(
+                    f"unavailable:{name}",
+                    f"fastcore provider {name!r} is unavailable ({error}); "
+                    "falling back to the python kernel bodies",
+                )
+            continue
+        error = None if name == "python" else self_check(loaded)
+        if error is None:
+            bundle = loaded
+            break
+        _warn_once(
+            f"self-check:{name}",
+            f"fastcore provider {name!r} failed its self-check ({error}); "
+            "falling back to the next provider",
+        )
+    if bundle is None:  # pragma: no cover - python always loads
+        raise RuntimeError("no fastcore provider resolved")
     _BUNDLE = bundle
-    _FAILURE = "; ".join(errors) if (bundle is None and errors) else None
-    _RESOLVED = True
     return _BUNDLE
 
 
-def available() -> bool:
-    """Whether the compiled engine can be selected in this process."""
-    return kernels() is not None
-
-
-def provider_name() -> str | None:
-    bundle = kernels()
-    return bundle.name if bundle is not None else None
+def provider_name() -> str:
+    return kernels().name
 
 
 def numba_version() -> str | None:
-    bundle = kernels()
-    return bundle.numba_version if bundle is not None else None
+    return kernels().numba_version
 
 
-def resolve_engine(engine: str | None = None, vectorized: bool | None = None) -> str:
+def resolve_engine(engine: str | None = None) -> str:
     """Resolve an engine request to one of :data:`VALID_ENGINES`.
 
     Precedence: explicit ``engine`` argument > ``REPRO_ENGINE`` environment
-    variable > auto selection.  The deprecated ``vectorized`` boolean maps
-    onto the engine enum (``True`` -> ``"vectorized"``, ``False`` ->
-    ``"reference"``) and pins the chosen engine -- it never auto-selects, so
-    pre-engine callers keep their exact behaviour.
+    variable > auto selection, which always picks ``compiled`` (its provider
+    chain ends in the always-available ``python`` bodies).
     """
-    if engine is not None and vectorized is not None:
-        raise ValueError(
-            "pass either engine or the deprecated vectorized flag, not both"
-        )
     if engine is None:
-        if vectorized is not None:
-            return "vectorized" if vectorized else "reference"
         engine = os.environ.get("REPRO_ENGINE", "").strip().lower() or "auto"
     if engine == "auto":
-        return "compiled" if kernels() is not None else "vectorized"
+        engine = "compiled"
     if engine not in VALID_ENGINES:
         raise ValueError(
-            f"unknown engine {engine!r}: valid engines are 'compiled', "
-            "'vectorized' and 'reference' (or 'auto'/None for auto-selection)"
+            f"unknown engine {engine!r}: valid engines are 'compiled' and "
+            "'reference' (or 'auto'/None for auto-selection)"
         )
-    if engine == "compiled" and kernels() is None:
-        detail = _FAILURE or "no compiled provider available"
-        _warn_once(
-            "compiled-unavailable",
-            f"compiled engine requested but unavailable ({detail}); "
-            "falling back to the vectorized engine",
-        )
-        return "vectorized"
+    if engine == "compiled":
+        kernels()
     return engine
 
 
 __all__ = [
     "VALID_ENGINES",
+    "PROVIDER_CHAINS",
     "KernelBundle",
     "kernels",
-    "available",
     "provider_name",
     "numba_version",
     "provider_request",

@@ -11,14 +11,11 @@ backend (and therefore the FinGraV methodology) actually drives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
-
-import numpy as np
 
 from ..core.records import ExecutionArena, ExecutionTiming
 from .activity import KernelActivityDescriptor
 from .device import KernelExecutionResult, SimulatedGPU
-from .variation import ExecutionTimeVariationModel, RunVariation
+from .variation import RunVariation
 
 
 @dataclass(frozen=True)
@@ -100,14 +97,13 @@ class KernelLauncher:
     ) -> ObservedExecution:
         """Submit one kernel execution and wait for it to complete.
 
-        When the device runs its vectorized engine the launcher takes a
+        When the device runs its compiled engine the launcher takes a
         streamlined path that draws the same RNG stream and produces identical
         observations, but skips the frozen-dataclass constructor overhead; a
-        device with ``vectorized=False`` keeps the original (pre-vectorization)
-        launch path end to end.
+        ``reference``-engine device keeps the original launch path end to end.
         """
         device = self._device
-        if device.vectorized:
+        if device.engine == "compiled":
             return self._launch_fast(descriptor, execution_index, run_variation)
         submit_s = device.now_s()
         launch_latency = device.variation_model.draw_launch_delay(
@@ -144,7 +140,7 @@ class KernelLauncher:
         :meth:`ExecutionTimeVariationModel.draw_launch_delay` and the
         timestamp errors inline :meth:`_timestamp_error` (identical RNG
         calls); the idle and execute steps go straight to the device's
-        vectorized engine.
+        compiled engine.
         """
         device = self._device
         config = self._config
@@ -153,8 +149,8 @@ class KernelLauncher:
         launch_latency = float(rng.normal(config.launch_latency_s, config.launch_jitter_s))
         if launch_latency < 0.2e-6:
             launch_latency = 0.2e-6
-        device._idle_hot(launch_latency)
-        result = device._execute_hot(descriptor, run_variation)
+        device._idle_compiled(launch_latency)
+        result = device._execute_compiled(descriptor, run_variation)
         error_std = config.event_timestamp_error_s
         if error_std > 0:
             # One batched draw is bit-identical to two sequential draws.
@@ -188,9 +184,9 @@ class KernelLauncher:
             raise ValueError("need at least one execution")
         observed: list[ObservedExecution] = []
         append = observed.append
-        if self._device.vectorized:
+        if self._device.engine == "compiled":
             gap_s = self._config.inter_execution_gap_s
-            idle_fast = self._device._idle_hot
+            idle_fast = self._device._idle_compiled
             launch_fast = self._launch_fast
             for i in range(executions):
                 if i > 0 and gap_s > 0:
@@ -215,17 +211,18 @@ class KernelLauncher:
     ) -> None:
         """Stage a back-to-back sequence's host-observed timings into ``arena``.
 
-        The instrumented-run hot path (vectorized device): identical simulated
+        The instrumented-run hot path (compiled device): identical simulated
         behaviour and values as :meth:`launch_sequence` followed by an
-        :class:`ExecutionTiming` conversion, with two shortcuts --
+        :class:`ExecutionTiming` conversion, with three shortcuts --
 
         * all RNG variates of the sequence (launch latency, execution jitter
           and the two event-timestamp errors per execution, consumed in
           exactly that order) come from one batched ``standard_normal`` draw,
           which is bit-identical to the per-execution scalar draws;
-        * no timing objects are built at all: each execution appends its two
-          floats to the arena's columnar buffers, and the run record adopts
-          the arena snapshot as a lazy :class:`ExecutionTimings` view.
+        * one fused kernel call simulates the whole sequence;
+        * no timing objects are built at all: the host-observed times land in
+          the arena's columnar buffers, and the run record adopts the arena
+          snapshot as a lazy :class:`ExecutionTimings` view.
         """
         if executions <= 0:
             raise ValueError("need at least one execution")
@@ -233,8 +230,8 @@ class KernelLauncher:
         latency_mean, latency_jitter, error_std, gap_s = self._fast_consts
         execution_cv = descriptor.variation.execution_cv
         append_start, append_end = arena.stage(descriptor.name, start_index, executions)
-        if not device.vectorized or execution_cv <= 0 or error_std <= 0:
-            # Configurations whose reference path consumes a different draw
+        if device.engine != "compiled" or execution_cv <= 0 or error_std <= 0:
+            # Configurations whose scalar path consumes a different draw
             # pattern fall back to the launch loop (identical by definition).
             for observed in self.launch_sequence(
                 descriptor, executions, run_variation=run_variation, start_index=start_index
@@ -242,42 +239,12 @@ class KernelLauncher:
                 append_start(observed.cpu_start_s)
                 append_end(observed.cpu_end_s)
             return
-        if device.engine == "compiled":
-            # One fused kernel call simulates the whole sequence; the batched
-            # variate draw is the identical RNG stream the loop below (and
-            # the scalar launch path) consumes.
-            variates = self._rng.standard_normal(4 * executions)
-            cpu_starts, cpu_ends = device._sequence_compiled(
-                descriptor, executions, variates, run_variation,
-                execution_cv, latency_mean, latency_jitter, error_std, gap_s,
-            )
-            arena.stage_filled(cpu_starts, cpu_ends)
-            return
-        idle_fast = device._idle_hot
-        execute_fast = device._execute_hot
-        min_factor = ExecutionTimeVariationModel.MIN_FACTOR
-        variates = self._rng.standard_normal(4 * executions).tolist()
-        cursor = 0
-        for i in range(executions):
-            if i > 0 and gap_s > 0:
-                idle_fast(gap_s)
-            launch_latency = latency_mean + latency_jitter * variates[cursor]
-            if launch_latency < 0.2e-6:
-                launch_latency = 0.2e-6
-            jitter = exp(0.0 + execution_cv * variates[cursor + 1])
-            if jitter < min_factor:
-                jitter = min_factor
-            idle_fast(launch_latency)
-            start_s, end_s = execute_fast(
-                descriptor, run_variation, jitter, build_result=False
-            )
-            cpu_start_s = start_s + error_std * variates[cursor + 2]
-            cpu_end_s = end_s + error_std * variates[cursor + 3]
-            if cpu_end_s < cpu_start_s:
-                cpu_end_s = cpu_start_s
-            append_start(cpu_start_s)
-            append_end(cpu_end_s)
-            cursor += 4
+        variates = self._rng.standard_normal(4 * executions)
+        cpu_starts, cpu_ends = device._sequence_compiled(
+            descriptor, executions, variates, run_variation,
+            execution_cv, latency_mean, latency_jitter, error_std, gap_s,
+        )
+        arena.stage_filled(cpu_starts, cpu_ends)
 
     def sequence_timings(
         self,

@@ -17,7 +17,7 @@ describes:
 All samplers are *post-processing* views over the instantaneous power timeline
 recorded by the device -- either a :class:`~repro.gpu.device.PowerSegment`
 list (reference engine) or a columnar
-:class:`~repro.gpu.device.SegmentArray` (vectorized engine, ingested without
+:class:`~repro.gpu.device.SegmentArray` (compiled engine, ingested without
 re-packing dataclasses) -- which keeps the simulation simple while preserving
 the observable behaviour.
 """
@@ -108,11 +108,11 @@ class _SegmentTimeline:
     records); ``usable`` is False otherwise and callers fall back to the
     scalar helpers, which also handle overlap.
 
-    Long idle spans reach this layer as one gapless boundary grid: the
-    device's batched idle-span engine bulk-appends a whole grid of
-    control-period slices per span, so a recording dominated by parks and
-    padding is ingested here as a single contiguous :class:`SegmentArray`
-    taking the gapless fast path below -- no per-slice Python on either side.
+    Long idle spans reach this layer as one gapless boundary grid: each
+    compiled idle-kernel call bulk-appends a whole grid of control-period
+    slices, so a recording dominated by parks and padding is ingested here
+    as a single contiguous :class:`SegmentArray` taking the gapless fast path
+    below -- no per-slice Python on either side.
     """
 
     def __init__(self, segments: Sequence[PowerSegment], fill_power: ComponentPower) -> None:
@@ -128,7 +128,7 @@ class _SegmentTimeline:
             self._cumulative = np.zeros((1, 3), dtype=float)
             return
         if isinstance(segments, SegmentArray):
-            # Columnar recordings from the vectorized device are ingested
+            # Columnar recordings from the compiled device are ingested
             # directly -- no per-segment dataclass unpacking.
             starts = segments.starts_s
             ends = segments.ends_s
@@ -282,7 +282,7 @@ class AveragingPowerLogger:
         """Columnar samples: ``(gpu_ticks, window_end_s, powers, window_s)``.
 
         ``powers`` has one xcd/iod/hbm row per sample.  This is the raw form
-        the vectorized backend consumes directly; :meth:`samples` wraps the
+        the compiled-engine backend consumes directly; :meth:`samples` wraps the
         same columns into :class:`TelemetrySample` objects.
 
         Segment-to-sample averaging runs on the cumulative-energy timeline:

@@ -86,12 +86,10 @@ class ThermalModel:
         The first-order dynamics compose analytically: stepping ``dt1`` then
         ``dt2`` equals a single step of ``dt1 + dt2`` up to floating-point
         rounding, because ``exp(-dt1/tau) * exp(-dt2/tau) == exp(-(dt1+dt2)/tau)``.
-        The vectorized device therefore applies one relaxation per idle span
-        instead of one per slice -- its batched idle-span boundary engine
-        emits hundreds of control-period slices without ever stepping warmth
-        per slice, then calls this once for the whole span; the result agrees
-        with the per-slice reference path to ~1 ulp (the device equivalence
-        suite pins the tolerance).
+        The compiled device engine therefore relaxes warmth once per idle span
+        instead of once per slice; the result agrees with the per-slice
+        reference path to ~1 ulp (the device equivalence suite pins the
+        tolerance).
 
         A zero-duration span is a no-op that leaves the warmth state
         untouched (mirroring :meth:`step`); negative durations raise.  The

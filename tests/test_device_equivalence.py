@@ -1,22 +1,18 @@
-"""Four-engine equivalence harness: compiled vs vectorized vs reference.
+"""Engine equivalence harness: compiled vs reference, for every provider.
 
-The contract is that every batched engine reproduces the retained per-slice
+The contract is that the compiled engine reproduces the retained per-slice
 reference path: identical slice boundaries, RNG stream, executions and
 firmware events.  Power values may differ from the *reference* by ~1 ulp
 because idle-span warmth is relaxed once per span instead of once per slice
--- the tolerances below document that bound.  The compiled engine replays
-the vectorized engine's iterated-float arithmetic exactly, so compiled vs
-vectorized is pinned **bit for bit** with no tolerance at all.
+-- the tolerances below document that bound.  Every compiled-kernel
+provider available in this process (``numba``, ``cc`` and the always
+present ``python`` kernel bodies) must agree with the others **bit for
+bit**, with no tolerance at all.
 
 Scenarios mirror the paper's workloads: pure idle, a short (single-slice)
 kernel, a power-limited GEMM that throttles mid-execution, an interleaved
 mix with a mid-recording timestamp read, and a long-idle park/unpark cycle
 spanning hundreds of firmware control periods.
-
-Every scenario is pinned across the full engine matrix: the compiled kernel
-engine (Numba or the C mirror, whichever provider is active), the default
-batched idle-span boundary engine, the retained per-period inline loop
-(``_idle_batch_min_periods = inf``) and the per-slice reference.
 """
 
 from __future__ import annotations
@@ -31,12 +27,21 @@ from repro.gpu.dvfs import FirmwareState
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm, mb_gemv
 
-requires_compiled = pytest.mark.skipif(
-    not fastcore.available(), reason="no compiled-kernel provider in this environment"
-)
-
 POWER_RTOL = 1e-9
 POWER_ATOL = 1e-9
+
+
+def _usable_providers() -> dict[str, fastcore.KernelBundle]:
+    """Every provider that loads and passes its self-check in this process."""
+    bundles = {}
+    for name in fastcore.PROVIDER_CHAINS["auto"]:
+        bundle, _error = fastcore._load_provider(name)
+        if bundle is not None and fastcore.self_check(bundle) is None:
+            bundles[name] = bundle
+    return bundles
+
+
+PROVIDERS = _usable_providers()
 
 SPEC = mi300x_spec()
 SHORT = cb_gemm(1024).activity_descriptor(SPEC)
@@ -44,10 +49,19 @@ BIG = cb_gemm(8192).activity_descriptor(SPEC)
 GEMV = mb_gemv(4096).activity_descriptor(SPEC)
 
 
+def compiled_device(seed=123, provider=None):
+    """A compiled-engine device, optionally pinned to one kernel provider."""
+    device = SimulatedGPU(SPEC, seed=seed, engine="compiled")
+    if provider is not None:
+        device._fc = PROVIDERS[provider]
+    return device
+
+
 def device_pair(seed=123):
+    """The compiled engine on the active provider, and the reference."""
     return (
-        SimulatedGPU(SPEC, seed=seed, vectorized=True),
-        SimulatedGPU(SPEC, seed=seed, vectorized=False),
+        compiled_device(seed),
+        SimulatedGPU(SPEC, seed=seed, engine="reference"),
     )
 
 
@@ -176,93 +190,72 @@ def test_scenario_equivalence(name):
     assert_devices_equivalent(fast, reference, fast_segments, reference_segments)
 
 
-def assert_devices_bitwise_identical(compiled, vectorized, compiled_segments, vectorized_segments):
-    """Compiled vs vectorized: no tolerance -- every float must match exactly."""
-    assert np.array_equal(compiled_segments.starts_s, vectorized_segments.starts_s)
-    assert np.array_equal(compiled_segments.ends_s, vectorized_segments.ends_s)
-    assert np.array_equal(compiled_segments.powers, vectorized_segments.powers)
-    assert compiled.executions() == vectorized.executions()
-    compiled_events = compiled.firmware_events()
-    vectorized_events = vectorized.firmware_events()
-    assert len(compiled_events) == len(vectorized_events)
-    for a, b in zip(compiled_events, vectorized_events):
+def assert_devices_bitwise_identical(left, right, left_segments, right_segments):
+    """Provider vs provider: no tolerance -- every float must match exactly."""
+    assert np.array_equal(left_segments.starts_s, right_segments.starts_s)
+    assert np.array_equal(left_segments.ends_s, right_segments.ends_s)
+    assert np.array_equal(left_segments.powers, right_segments.powers)
+    assert left.executions() == right.executions()
+    left_events = left.firmware_events()
+    right_events = right.firmware_events()
+    assert len(left_events) == len(right_events)
+    for a, b in zip(left_events, right_events):
         assert (a.time_s, a.state, a.frequency_ghz, a.power_w) == (
             b.time_s, b.state, b.frequency_ghz, b.power_w,
         )
-    assert compiled.now_s() == vectorized.now_s()
-    assert compiled.thermal.warmth == vectorized.thermal.warmth
-    assert compiled._next_control_s == vectorized._next_control_s
-    assert compiled.firmware.state is vectorized.firmware.state
-    assert compiled.firmware.frequency_ghz == vectorized.firmware.frequency_ghz
+    assert left.now_s() == right.now_s()
+    assert left.thermal.warmth == right.thermal.warmth
+    assert left._next_control_s == right._next_control_s
+    assert left.firmware.state is right.firmware.state
+    assert left.firmware.frequency_ghz == right.firmware.frequency_ghz
 
 
-@requires_compiled
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_equivalence_compiled(name):
-    """The compiled engine is bit-identical to vectorized, tolerance-equal to
-    the reference, on every scenario (including the long-idle park cycle)."""
+    """Every available provider is bit-identical to the python kernel bodies
+    and tolerance-equal to the reference, on every scenario (including the
+    long-idle park cycle)."""
     scenario = SCENARIOS[name]
-    compiled = SimulatedGPU(SPEC, seed=123, engine="compiled")
-    assert compiled.engine == "compiled"
-    vectorized, reference = device_pair()
-    for device in (compiled, vectorized, reference):
+    devices = {provider: compiled_device(provider=provider) for provider in PROVIDERS}
+    reference = SimulatedGPU(SPEC, seed=123, engine="reference")
+    for device in (*devices.values(), reference):
         scenario(device)
-    compiled_segments = compiled.stop_recording()
-    vectorized_segments = vectorized.stop_recording()
+    segments = {provider: device.stop_recording() for provider, device in devices.items()}
     reference_segments = reference.stop_recording()
-    assert_devices_bitwise_identical(
-        compiled, vectorized, compiled_segments, vectorized_segments
-    )
-    assert_devices_equivalent(compiled, reference, compiled_segments, reference_segments)
+    for provider, device in devices.items():
+        assert_devices_bitwise_identical(
+            device, devices["python"], segments[provider], segments["python"]
+        )
+        assert_devices_equivalent(device, reference, segments[provider], reference_segments)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_equivalence_scalar_inline(name):
-    """The retained per-period inline idle loop stays in lockstep too.
-
-    ``_idle_batch_min_periods = inf`` disables the batched boundary engine,
-    pinning the scalar path the batched engine replaced (and falls back to)
-    against the per-slice reference.
-    """
+    """The un-jitted per-period kernel loop (the ``python`` provider, the
+    path a host without Numba or a C compiler runs) stays in lockstep with
+    the per-slice reference."""
     scenario = SCENARIOS[name]
-    fast, reference = device_pair()
-    fast._idle_batch_min_periods = float("inf")
-    scenario(fast)
+    inline = compiled_device(provider="python")
+    reference = SimulatedGPU(SPEC, seed=123, engine="reference")
+    scenario(inline)
     scenario(reference)
-    fast_segments = fast.stop_recording()
+    inline_segments = inline.stop_recording()
     reference_segments = reference.stop_recording()
-    assert_devices_equivalent(fast, reference, fast_segments, reference_segments)
+    assert_devices_equivalent(inline, reference, inline_segments, reference_segments)
 
 
 def engine_matrix(seed=123):
-    """Ordered engine matrix: [compiled,] batched, scalar-inline, reference.
-
-    The compiled engine joins the matrix whenever a provider is available
-    (the provider itself -- Numba or the C mirror -- is whatever fastcore
-    auto-selected; both must pass the same pins).  ``reference`` is always
-    last.
-    """
-    engines: dict[str, SimulatedGPU] = {}
-    if fastcore.available():
-        engines["compiled"] = SimulatedGPU(SPEC, seed=seed, engine="compiled")
-    engines["batched"] = SimulatedGPU(SPEC, seed=seed, vectorized=True)
-    scalar = SimulatedGPU(SPEC, seed=seed, vectorized=True)
-    scalar._idle_batch_min_periods = float("inf")
-    engines["scalar"] = scalar
-    engines["reference"] = SimulatedGPU(SPEC, seed=seed, vectorized=False)
+    """One compiled device per available provider, then the reference."""
+    engines: dict[str, SimulatedGPU] = {
+        provider: compiled_device(seed, provider) for provider in PROVIDERS
+    }
+    engines["reference"] = SimulatedGPU(SPEC, seed=seed, engine="reference")
     return engines
 
 
-def three_engines(seed=123):
-    """Batched engine, pinned scalar-inline path, per-slice reference."""
-    matrix = engine_matrix(seed)
-    return matrix["batched"], matrix["scalar"], matrix["reference"]
-
-
 class TestLongIdleParkUnpark:
-    """The compiled engine, the batched idle-span engine, the inline path and
-    the reference loop must agree bit for bit across a park/unpark/boost
-    cycle spanning hundreds of control periods."""
+    """Every compiled provider and the reference loop must agree across a
+    park/unpark/boost cycle spanning hundreds of control periods."""
 
     @pytest.fixture(scope="class")
     def driven(self):
@@ -296,21 +289,16 @@ class TestLongIdleParkUnpark:
     def test_segments_clock_and_warmth_pinned(self, driven):
         engines, segments = driven
         ref_segments = segments["reference"]
-        assert len(segments["batched"]) > 500  # hundreds of control periods
+        assert len(segments["python"]) > 500  # hundreds of control periods
         for name in engines:
             if name == "reference":
                 continue
             assert_devices_equivalent(
                 engines[name], engines["reference"], segments[name], ref_segments
             )
-        # Batched vs scalar-inline: the idle grid must be the same floats.
-        assert np.array_equal(segments["batched"].starts_s, segments["scalar"].starts_s)
-        assert np.array_equal(segments["batched"].ends_s, segments["scalar"].ends_s)
-        if "compiled" in engines:
-            # Compiled vs batched: everything identical, powers included.
+            # Provider vs provider: everything identical, powers included.
             assert_devices_bitwise_identical(
-                engines["compiled"], engines["batched"],
-                segments["compiled"], segments["batched"],
+                engines[name], engines["python"], segments[name], segments["python"]
             )
 
     def test_firmware_bookkeeping_identical(self, driven):
@@ -329,17 +317,12 @@ class TestLongIdleParkUnpark:
 class TestExactBoundarySpans:
     """Audit pin for the 1e-12 boundary slack: a span ending exactly on (or
     within the slack of) a control boundary fires the firmware on the same
-    boundary in the batched engine, the inline path and the reference loop,
-    and the park transition lands on an identical boundary float."""
+    boundary in every compiled provider and the reference loop, and the park
+    transition lands on an identical boundary float."""
 
     @pytest.mark.parametrize("perturb_s", [0.0, 1e-12, -1e-12, 5e-13, -5e-13])
     def test_park_lands_on_same_boundary(self, perturb_s):
         engines = engine_matrix(seed=21)
-        # The spans here are shorter than the batching crossover; force the
-        # batched engine on so the chunk path itself faces the corner case
-        # (the compiled engine has no threshold -- it always takes its
-        # per-period kernel loop).
-        engines["batched"]._idle_batch_min_periods = 1.0
         for device in engines.values():
             device.start_recording()
             device.execute_kernel(SHORT)
@@ -373,10 +356,8 @@ class TestExactBoundarySpans:
     def test_span_ending_on_boundary_steps_firmware_once(self):
         # A span that ends bit-exactly on a boundary must consume that
         # boundary (next_control advances past it) in every engine, leaving
-        # an empty control accumulator -- the audited invariant behind the
-        # batched engine's chunk entry condition.
+        # an empty control accumulator.
         engines = engine_matrix(seed=4)
-        engines["batched"]._idle_batch_min_periods = 1.0
         for device in engines.values():
             device.execute_kernel(SHORT)
             span = device._next_control_s - device.now_s()
@@ -393,11 +374,13 @@ class TestBackendEquivalence:
 
     @pytest.fixture(scope="class")
     def record_matrix(self):
-        def one(engine):
+        def one(engine, provider=None):
             backend = SimulatedDeviceBackend(
                 spec=SPEC, seed=11, config=BackendConfig(engine=engine)
             )
             assert backend.device.engine == engine
+            if provider is not None:
+                backend.device._fc = PROVIDERS[provider]
             kernel = cb_gemm(1024)
             records = [
                 backend.run(kernel, executions=30, pre_delay_s=i * 0.7e-3, run_index=i)
@@ -414,10 +397,9 @@ class TestBackendEquivalence:
             )
             return records
 
-        engines = ["vectorized", "reference"]
-        if fastcore.available():
-            engines.insert(0, "compiled")
-        return {engine: one(engine) for engine in engines}
+        matrix = {f"compiled-{provider}": one("compiled", provider) for provider in PROVIDERS}
+        matrix["reference"] = one("reference")
+        return matrix
 
     @staticmethod
     def pairs(record_matrix):
@@ -457,17 +439,15 @@ class TestBackendEquivalence:
                 == reference.metadata["run_variation_outlier"]
             )
 
-    def test_compiled_readings_bitwise_equal_vectorized(self, record_matrix):
-        if "compiled" not in record_matrix:
-            pytest.skip("no compiled-kernel provider in this environment")
-        for compiled, vectorized in zip(
-            record_matrix["compiled"], record_matrix["vectorized"]
-        ):
-            assert list(compiled.executions) == list(vectorized.executions)
-            for a, b in zip(compiled.readings, vectorized.readings):
-                assert a.gpu_timestamp_ticks == b.gpu_timestamp_ticks
-                assert a.total_w == b.total_w
-                assert a.components == b.components
+    def test_compiled_readings_bitwise_equal_across_providers(self, record_matrix):
+        python = record_matrix["compiled-python"]
+        for provider in PROVIDERS:
+            for ours, theirs in zip(record_matrix[f"compiled-{provider}"], python):
+                assert list(ours.executions) == list(theirs.executions)
+                for a, b in zip(ours.readings, theirs.readings):
+                    assert a.gpu_timestamp_ticks == b.gpu_timestamp_ticks
+                    assert a.total_w == b.total_w
+                    assert a.components == b.components
 
 
 class TestDescriptorProfileCache:
@@ -478,15 +458,15 @@ class TestDescriptorProfileCache:
         import dataclasses
 
         descriptor = cb_gemm(2048).activity_descriptor(SPEC)
-        first = SimulatedGPU(SPEC, seed=1, vectorized=True)
+        first = SimulatedGPU(SPEC, seed=1, engine="compiled")
         first.execute_kernel(descriptor)
 
         other_spec = dataclasses.replace(
             SPEC, power=dataclasses.replace(SPEC.power, xcd_stalled_floor=0.44,
                                             xcd_activity_floor=0.9)
         )
-        fast = SimulatedGPU(other_spec, seed=2, vectorized=True)
-        reference = SimulatedGPU(other_spec, seed=2, vectorized=False)
+        fast = SimulatedGPU(other_spec, seed=2, engine="compiled")
+        reference = SimulatedGPU(other_spec, seed=2, engine="reference")
         fast_result = fast.execute_kernel(descriptor)
         reference_result = reference.execute_kernel(descriptor)
         assert fast_result.mean_power.total_w == pytest.approx(

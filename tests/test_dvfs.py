@@ -5,8 +5,11 @@ import copy
 import numpy as np
 import pytest
 
+from repro.gpu import _fastcore_kernels as K
+from repro.gpu import fastcore
+from repro.gpu.device import _FC_STATES, SimulatedGPU
 from repro.gpu.dvfs import FirmwareConfig, FirmwareState, PowerManagementFirmware
-from repro.gpu.spec import DVFSSpec, PowerBudget
+from repro.gpu.spec import DVFSSpec, PowerBudget, mi300x_spec
 
 
 @pytest.fixture()
@@ -266,95 +269,97 @@ class TestCapReleaseHysteresis:
 
 
 class TestIdleSpan:
-    """`idle_span` must leave the controller exactly as N inlined non-resident
-    ``step()`` calls would: same events, same bookkeeping, bit for bit."""
+    """A compiled idle span must leave the controller exactly as the
+    per-slice loop's non-resident ``step()`` calls would: same events, same
+    bookkeeping, bit for bit.  Drives the active provider's idle kernel
+    directly, at an arbitrary idle power."""
 
     PERIOD = 250e-6
 
-    def boundaries(self, start, n, first_dt=None):
-        """An iterated-addition boundary grid like the device's."""
-        dts = []
-        times = []
-        now = start
-        next_control = start + (first_dt if first_dt is not None else self.PERIOD)
-        for _ in range(n):
-            dt = next_control - now
-            times.append(next_control)
-            dts.append(dt)
-            now = next_control
-            next_control = next_control + self.PERIOD
-        return np.asarray(times), np.asarray(dts)
+    def span(self, firmware, start, first_dt, duration, power_w):
+        """Run one idle span through the kernel and through ``step()``.
 
-    def scalar_twin(self, firmware):
-        return copy.deepcopy(firmware)
+        Returns ``(kernel state, kernel events, twin firmware)``; the twin
+        replays ``SimulatedGPU._idle_reference``'s slice loop from an empty
+        control accumulator.
+        """
+        device = SimulatedGPU(mi300x_spec(), seed=0, engine="compiled")
+        device._firmware = firmware
+        params = device._fc_params.copy()
+        params[K.P_IDLE_TOT] = power_w
+        twin = copy.deepcopy(firmware)
+        prior_events = len(twin.events)
+        st = device._fc_pack()
+        st[K.S_NOW] = start
+        st[K.S_NEXT] = start + first_dt
+        ev = np.zeros((64, 4))
+        lens = np.zeros(2, dtype=np.int64)
+        rc = fastcore.kernels().idle(
+            st, params, duration, 0, np.zeros((8, 5)), ev, lens
+        )
+        assert rc == 0
+
+        now, next_control, remaining = start, start + first_dt, duration
+        while remaining > 1e-12:
+            dt = min(remaining, max(next_control - now, 1e-9))
+            now += dt
+            remaining -= dt
+            if now + 1e-12 >= next_control:
+                twin.step(now, dt, (power_w * dt) / dt, False)
+                while next_control <= now + 1e-12:
+                    next_control += self.PERIOD
+        events = [
+            (float(row[0]), _FC_STATES[int(row[1])], float(row[2]), float(row[3]))
+            for row in ev[: int(lens[1])]
+        ]
+        del twin._events[:prior_events]
+        return st, events, twin
+
+    @staticmethod
+    def assert_matches(st, events, twin):
+        assert _FC_STATES[int(st[K.S_FWST])] is twin.state
+        assert st[K.S_FREQ] == twin.frequency_ghz
+        assert st[K.S_IDLEAC] == twin._idle_accum_s
+        assert st[K.S_OVER] == twin._overdraw_accum_s
+        assert st[K.S_LASTP] == twin._last_power_w
+        assert events == [
+            (e.time_s, e.state, e.frequency_ghz, e.power_w) for e in twin.events
+        ]
+
+    def boosted(self):
+        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
+        firmware.notify_kernel_arrival(0.0)
+        return firmware
 
     @pytest.mark.parametrize("n", [1, 2, 7, 9, 400])
     @pytest.mark.parametrize("power_w", [115.0, 87.3])
     def test_matches_inlined_steps_from_boost(self, n, power_w):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        firmware.notify_kernel_arrival(0.0)
+        firmware = self.boosted()
         firmware.step(self.PERIOD, self.PERIOD, 300.0, True)
-        twin = self.scalar_twin(firmware)
-        times, dts = self.boundaries(self.PERIOD, n, first_dt=0.37 * self.PERIOD)
-
-        for time_s, dt in zip(times, dts):
-            mean = (power_w * dt) / dt
-            twin.step(float(time_s), float(dt), mean, False)
-        firmware.idle_span(self.PERIOD, float(times[-1] - self.PERIOD), power_w, times, dts)
-
-        assert firmware.state is twin.state
-        assert firmware.frequency_ghz == twin.frequency_ghz
-        assert firmware._idle_accum_s == twin._idle_accum_s
-        assert firmware._overdraw_accum_s == twin._overdraw_accum_s
-        assert firmware._last_power_w == twin._last_power_w
-        assert firmware.events == twin.events
+        first_dt = 0.37 * self.PERIOD
+        st, events, twin = self.span(
+            firmware, self.PERIOD, first_dt, first_dt + (n - 1) * self.PERIOD, power_w
+        )
+        self.assert_matches(st, events, twin)
 
     def test_park_event_synthesized_at_the_exact_boundary(self):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        firmware.notify_kernel_arrival(0.0)
-        twin = self.scalar_twin(firmware)
-        times, dts = self.boundaries(0.0, 40)
-        for time_s, dt in zip(times, dts):
-            twin.step(float(time_s), float(dt), 113.0, False)
-        firmware.idle_span(0.0, float(times[-1]), 113.0, times, dts)
-        park_events = [e for e in firmware.events if e.state is FirmwareState.IDLE]
+        st, events, twin = self.span(self.boosted(), 0.0, self.PERIOD, 40 * self.PERIOD, 113.0)
+        park_events = [e for e in events if e[1] is FirmwareState.IDLE]
         assert len(park_events) == 1
-        assert park_events[0] == [e for e in twin.events if e.state is FirmwareState.IDLE][0]
-        assert firmware.state is FirmwareState.IDLE
-        assert firmware._idle_accum_s == twin._idle_accum_s
+        self.assert_matches(st, events, twin)
+        assert twin.state is FirmwareState.IDLE
 
     def test_already_idle_controller_only_accumulates(self):
         firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
         assert firmware.state is FirmwareState.IDLE
-        times, dts = self.boundaries(0.0, 12)
-        firmware.idle_span(0.0, float(times[-1]), 110.0, times, dts)
-        assert firmware.events == []
-        assert firmware.state is FirmwareState.IDLE
-        expected = 0.0
-        for dt in dts:
-            expected += dt
-        assert firmware._idle_accum_s == expected
+        st, events, twin = self.span(firmware, 0.0, self.PERIOD, 12 * self.PERIOD, 110.0)
+        assert events == []
+        self.assert_matches(st, events, twin)
+        assert twin._idle_accum_s > 0.0
 
     def test_empty_span_is_a_noop(self):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        firmware.notify_kernel_arrival(0.0)
-        before = (firmware.state, firmware._idle_accum_s, firmware._last_power_w)
-        firmware.idle_span(0.0, 0.0, 110.0, np.empty(0), np.empty(0))
-        assert (firmware.state, firmware._idle_accum_s, firmware._last_power_w) == before
-
-    def test_mismatched_grid_rejected(self):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        with pytest.raises(ValueError):
-            firmware.idle_span(0.0, 1e-3, 110.0, np.zeros(3), np.zeros(2))
-        with pytest.raises(ValueError):
-            firmware.idle_span(0.0, -1e-3, 110.0, np.zeros(2), np.ones(2))
-
-    def test_grid_outside_the_span_rejected(self):
-        firmware = PowerManagementFirmware(DVFSSpec(), PowerBudget())
-        times, dts = self.boundaries(0.0, 4)
-        # Boundary before the span start.
-        with pytest.raises(ValueError):
-            firmware.idle_span(float(times[0]), float(times[-1]), 110.0, times, dts)
-        # Span too short to contain the last boundary.
-        with pytest.raises(ValueError):
-            firmware.idle_span(0.0, float(times[-2]), 110.0, times, dts)
+        firmware = self.boosted()
+        st, events, twin = self.span(firmware, 0.0, self.PERIOD, 0.0, 110.0)
+        assert events == []
+        self.assert_matches(st, events, twin)
+        assert st[K.S_NOW] == 0.0

@@ -1,6 +1,6 @@
 """Tests for the execution-record arena and the lazy record views.
 
-The vectorized backend stages launch-sequence timings in an
+The compiled-engine backend stages launch-sequence timings in an
 :class:`ExecutionArena` and ships power readings as a columnar
 :class:`PowerReadings` view; both must be drop-in replacements for the
 reference path's tuples of frozen record objects -- same values, equality,
@@ -177,7 +177,7 @@ class TestBackendRecordViews:
         preceding = [(mb_gemv(4096), 3)]
         fast = SimulatedDeviceBackend(spec=mi300x_spec(), seed=11)
         reference = SimulatedDeviceBackend(
-            spec=mi300x_spec(), seed=11, config=BackendConfig(vectorized=False)
+            spec=mi300x_spec(), seed=11, config=BackendConfig(engine="reference")
         )
         return (
             fast.run(kernel, executions=12, pre_delay_s=0.3e-3, run_index=2,
@@ -219,7 +219,7 @@ class TestBackendRecordViews:
         kernel = cb_gemm(2048)
         fast = SimulatedDeviceBackend(spec=mi300x_spec(), seed=13)
         reference = SimulatedDeviceBackend(
-            spec=mi300x_spec(), seed=13, config=BackendConfig(vectorized=False)
+            spec=mi300x_spec(), seed=13, config=BackendConfig(engine="reference")
         )
         fast.run(kernel, executions=6, pre_delay_s=0.0)
         reference.run(kernel, executions=6, pre_delay_s=0.0)

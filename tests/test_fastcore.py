@@ -1,11 +1,12 @@
-"""Engine-selection matrix, provider fallbacks and compiled-core plumbing.
+"""Engine selection, the provider chain and compiled-core plumbing.
 
 Covers the fastcore resolution rules (explicit argument > ``REPRO_ENGINE``
-env var > auto), graceful fallback when no compiled provider is available
-(simulated by pinning ``REPRO_FASTCORE_PROVIDER=none`` / patching out the
-Numba import probe), the one-time self-check failure path (single warning,
-auto falls back to vectorized), the ``BackendConfig`` engine validation and
-deprecation shim, and the ``relax_span`` zero/negative-duration contract.
+env var > auto), the ``numba`` -> ``cc`` -> ``python`` provider chain and
+its fallbacks (a pinned provider that cannot load, a provider that fails
+its one-time self-check -- single warning, the ``python`` kernel bodies
+take over), rejection of unknown ``REPRO_FASTCORE_PROVIDER`` values, the
+``BackendConfig`` engine validation, and the ``relax_span``
+zero/negative-duration contract.
 """
 
 from __future__ import annotations
@@ -40,26 +41,28 @@ def clean_fastcore(monkeypatch):
 # --------------------------------------------------------------------- #
 class TestResolveEngine:
     def test_explicit_engine_wins(self, clean_fastcore):
-        assert fastcore.resolve_engine("vectorized") == "vectorized"
+        assert fastcore.resolve_engine("compiled") == "compiled"
         assert fastcore.resolve_engine("reference") == "reference"
 
-    def test_vectorized_shim_maps_to_engines(self, clean_fastcore):
-        assert fastcore.resolve_engine(None, True) == "vectorized"
-        assert fastcore.resolve_engine(None, False) == "reference"
-
     def test_engine_and_vectorized_together_raise(self, clean_fastcore):
-        with pytest.raises(ValueError, match="not both"):
-            fastcore.resolve_engine("vectorized", True)
+        # The deprecated boolean is gone: passing it is a TypeError.
+        with pytest.raises(TypeError):
+            fastcore.resolve_engine("compiled", True)
 
     def test_unknown_engine_lists_valid_engines(self, clean_fastcore):
-        with pytest.raises(ValueError, match="compiled.*vectorized.*reference"):
+        with pytest.raises(ValueError, match="compiled.*reference"):
             fastcore.resolve_engine("turbo")
+
+    def test_vectorized_is_no_longer_an_engine(self, clean_fastcore):
+        assert fastcore.VALID_ENGINES == ("compiled", "reference")
+        with pytest.raises(ValueError, match="vectorized"):
+            fastcore.resolve_engine("vectorized")
 
     def test_env_var_overrides_auto(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_ENGINE", "reference")
         assert fastcore.resolve_engine() == "reference"
-        clean_fastcore.setenv("REPRO_ENGINE", "vectorized")
-        assert fastcore.resolve_engine() == "vectorized"
+        clean_fastcore.setenv("REPRO_ENGINE", "compiled")
+        assert fastcore.resolve_engine() == "compiled"
 
     def test_env_var_invalid_value_raises(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_ENGINE", "warp-speed")
@@ -68,62 +71,85 @@ class TestResolveEngine:
 
     def test_explicit_argument_beats_env_var(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_ENGINE", "reference")
-        assert fastcore.resolve_engine("vectorized") == "vectorized"
+        assert fastcore.resolve_engine("compiled") == "compiled"
 
     def test_auto_prefers_compiled_when_available(self, clean_fastcore):
-        if not fastcore.available():
-            pytest.skip("no compiled-kernel provider in this environment")
         assert fastcore.resolve_engine() == "compiled"
-        assert fastcore.provider_name() in ("numba", "cc")
+        assert fastcore.resolve_engine("auto") == "compiled"
+        assert fastcore.provider_name() in ("numba", "cc", "python")
 
 
 # --------------------------------------------------------------------- #
-# Provider-absent fallback.
+# Provider chain and fallbacks.
 # --------------------------------------------------------------------- #
 class TestProviderFallback:
-    def test_provider_none_disables_compiled_tier(self, clean_fastcore):
-        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "none")
-        assert fastcore.kernels() is None
-        assert not fastcore.available()
-        # Auto selection falls back silently -- no warning for a merely
-        # absent provider.
+    @pytest.mark.parametrize("value", ["cc_typo", "none", "jit"])
+    def test_unknown_provider_request_raises(self, clean_fastcore, value):
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", value)
+        with pytest.raises(ValueError, match=r"auto\|numba\|cc\|python") as error:
+            fastcore.kernels()
+        assert repr(value) in str(error.value)
+        # Engine resolution and device construction surface the same error.
+        with pytest.raises(ValueError, match=repr(value)):
+            SimulatedGPU(SPEC, seed=1)
+
+    def test_python_provider_always_resolves(self, clean_fastcore):
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "python")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fastcore.resolve_engine() == "vectorized"
+            assert fastcore.resolve_engine() == "compiled"
+            assert fastcore.provider_name() == "python"
+        assert fastcore.numba_version() is None
 
     def test_numba_absent_auto_skips_to_next_provider(self, clean_fastcore):
         clean_fastcore.setattr(fastcore, "_numba_importable", lambda: False)
-        bundle = fastcore.kernels()
-        # Whatever auto resolves to, it must not claim the numba provider.
-        assert bundle is None or bundle.name != "numba"
+        # Auto selection skips a merely absent provider silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fastcore.provider_name() in ("cc", "python")
 
     def test_numba_provider_requested_but_absent(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "numba")
         clean_fastcore.setattr(fastcore, "_numba_importable", lambda: False)
-        assert fastcore.kernels() is None
-        assert fastcore.resolve_engine() == "vectorized"
+        with pytest.warns(RuntimeWarning, match="'numba' is unavailable"):
+            assert fastcore.kernels().name == "python"
+        assert fastcore.resolve_engine() == "compiled"
 
     def test_explicit_compiled_unavailable_warns_once(self, clean_fastcore):
-        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "none")
-        with pytest.warns(RuntimeWarning, match="falling back to the vectorized"):
-            assert fastcore.resolve_engine("compiled") == "vectorized"
-        # Second request: silent (the warning is one-time).
+        # A pinned compiled provider that cannot load warns once, then the
+        # cached resolution stays silent.
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "cc")
+        clean_fastcore.setattr(
+            fastcore, "_load_provider",
+            lambda name, load=fastcore._load_provider: (
+                (None, "cc: no compiler") if name == "cc" else load(name)
+            ),
+        )
+        with pytest.warns(RuntimeWarning, match="'cc' is unavailable"):
+            assert fastcore.resolve_engine("compiled") == "compiled"
+        assert fastcore.provider_name() == "python"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fastcore.resolve_engine("compiled") == "vectorized"
+            assert fastcore.resolve_engine("compiled") == "compiled"
 
     def test_device_construction_survives_missing_provider(self, clean_fastcore):
-        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "none")
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "numba")
+        clean_fastcore.setattr(fastcore, "_numba_importable", lambda: False)
         with pytest.warns(RuntimeWarning):
             device = SimulatedGPU(SPEC, seed=1, engine="compiled")
-        assert device.engine == "vectorized"
+        assert device.engine == "compiled"
+        assert device._fc.name == "python"
         device.idle(1e-3)
         assert device.now_s() == pytest.approx(1e-3)
 
-    def test_backend_auto_resolves_to_vectorized(self, clean_fastcore):
-        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "none")
+    def test_backend_and_device_auto_resolve_alike(self, clean_fastcore):
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "python")
         backend = SimulatedDeviceBackend(spec=SPEC, seed=2, config=BackendConfig())
-        assert backend.device.engine == "vectorized"
+        assert backend.device.engine == "compiled"
+        assert SimulatedGPU(SPEC, seed=2).engine == "compiled"
+        clean_fastcore.setenv("REPRO_ENGINE", "reference")
+        assert SimulatedGPU(SPEC, seed=2).engine == "reference"
+        assert BackendConfig().resolved_engine() == "reference"
 
 
 # --------------------------------------------------------------------- #
@@ -131,23 +157,44 @@ class TestProviderFallback:
 # --------------------------------------------------------------------- #
 class TestSelfCheckFailure:
     def test_failed_self_check_warns_once_and_falls_back(self, clean_fastcore):
-        if fastcore.provider_request() == "none":
-            pytest.skip("provider explicitly disabled")
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "cc")
         clean_fastcore.setattr(
             fastcore, "self_check", lambda bundle: "injected mismatch"
         )
-        with pytest.warns(RuntimeWarning, match="failed its self-check"):
-            assert fastcore.kernels() is None
-        assert fastcore.resolve_engine() == "vectorized"
+        with pytest.warns(RuntimeWarning, match="failed its self-check") as caught:
+            assert fastcore.kernels().name == "python"
+        assert len(caught) == 1
+        assert fastcore.resolve_engine() == "compiled"
         # The resolution is cached: no second warning, no second self-check.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fastcore.kernels() is None
+            assert fastcore.kernels().name == "python"
+
+    def test_failed_numba_self_check_falls_back_to_python_bodies(self, clean_fastcore):
+        # A Numba provider that loads but fails its self-check must hand over
+        # to the un-jitted python bodies with exactly one warning.
+        clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "numba")
+        python, _ = fastcore._load_provider("python")
+        fake_numba = fastcore.KernelBundle(
+            "numba", python.idle, python.execute, python.sequence, numba_version="0"
+        )
+        clean_fastcore.setattr(
+            fastcore, "_load_provider",
+            lambda name, load=fastcore._load_provider: (
+                (fake_numba, None) if name == "numba" else load(name)
+            ),
+        )
+        clean_fastcore.setattr(
+            fastcore, "self_check",
+            lambda bundle: "injected mismatch" if bundle.name == "numba" else None,
+        )
+        with pytest.warns(RuntimeWarning, match="'numba' failed its self-check") as caught:
+            assert fastcore.provider_name() == "python"
+        assert len(caught) == 1
+        assert fastcore.numba_version() is None
 
     def test_self_check_catches_a_corrupted_provider(self, clean_fastcore):
         bundle = fastcore.kernels()
-        if bundle is None:
-            pytest.skip("no compiled-kernel provider in this environment")
 
         def corrupted_idle(st, pp, duration, record, seg, ev, lens):
             rc = bundle.idle(st, pp, duration, record, seg, ev, lens)
@@ -161,10 +208,7 @@ class TestSelfCheckFailure:
         assert failure is not None and "mismatch" in failure
 
     def test_self_check_passes_for_active_provider(self, clean_fastcore):
-        bundle = fastcore.kernels()
-        if bundle is None:
-            pytest.skip("no compiled-kernel provider in this environment")
-        assert fastcore.self_check(bundle) is None
+        assert fastcore.self_check(fastcore.kernels()) is None
 
 
 # --------------------------------------------------------------------- #
@@ -174,56 +218,74 @@ class TestPythonProvider:
     def test_python_provider_runs_the_device(self, clean_fastcore):
         clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "python")
         bundle = fastcore.kernels()
-        assert bundle is not None and bundle.name == "python"
-        compiled = SimulatedGPU(SPEC, seed=7, engine="compiled")
-        vectorized = SimulatedGPU(SPEC, seed=7, engine="vectorized")
+        assert bundle.name == "python"
+        python = SimulatedGPU(SPEC, seed=7, engine="compiled")
+        reference = SimulatedGPU(SPEC, seed=7, engine="reference")
         short = cb_gemm(1024).activity_descriptor(SPEC)
-        for device in (compiled, vectorized):
+        for device in (python, reference):
             device.start_recording()
             device.idle(1.2e-3)
             device.execute_kernel(short)
             device.idle(9e-3)
             device.execute_kernel(short)
-        a = compiled.stop_recording()
-        b = vectorized.stop_recording()
-        assert np.array_equal(a.starts_s, b.starts_s)
-        assert np.array_equal(a.powers, b.powers)
-        assert compiled.executions() == vectorized.executions()
-        assert compiled.now_s() == vectorized.now_s()
+        a = python.stop_recording()
+        b = reference.stop_recording()
+        assert np.array_equal(a.starts_s, [s.start_s for s in b])
+        assert np.allclose(a.powers, [[s.power.xcd_w, s.power.iod_w, s.power.hbm_w] for s in b],
+                           rtol=1e-9, atol=1e-9)
+        assert [(e.start_s, e.end_s) for e in python.executions()] == [
+            (e.start_s, e.end_s) for e in reference.executions()
+        ]
+        assert python.now_s() == reference.now_s()
+
+
+    def test_python_bundle_bypasses_jitted_dispatchers(self, clean_fastcore):
+        # With Numba active the module-level kernels are dispatchers; the
+        # python provider must swap their ``py_func`` bodies in for the call
+        # and restore the dispatchers afterwards.
+        from repro.gpu import _fastcore_kernels as K
+
+        class Dispatcher:
+            def __init__(self, func):
+                self.py_func = func
+
+            def __call__(self, *args):
+                raise AssertionError("jitted dispatcher called")
+
+        originals = {name: getattr(K, name) for name in fastcore._KERNEL_CHAIN}
+        for name, func in originals.items():
+            clean_fastcore.setattr(K, name, Dispatcher(func))
+        clean_fastcore.setattr(K, "HAVE_NUMBA", True)
+        python, _ = fastcore._load_provider("python")
+        st, pp, _, _ = fastcore._scenario_params()
+        seg = np.zeros((64, 5))
+        ev = np.zeros((8, 4))
+        lens = np.zeros(2, dtype=np.int64)
+        assert python.idle(st, pp, 3.3 * pp[K.P_PERIOD], 1, seg, ev, lens) == 0
+        assert int(lens[0]) > 1
+        for name in fastcore._KERNEL_CHAIN:
+            assert isinstance(getattr(K, name), Dispatcher)
 
 
 # --------------------------------------------------------------------- #
-# BackendConfig engine validation + deprecation shim.
+# BackendConfig engine validation.
 # --------------------------------------------------------------------- #
 class TestBackendConfigEngine:
     def test_unknown_engine_rejected_with_valid_list(self, clean_fastcore):
-        with pytest.raises(ValueError, match="compiled.*vectorized.*reference"):
+        with pytest.raises(ValueError, match="compiled.*reference"):
             BackendConfig(engine="hyperspeed").validate()
+        with pytest.raises(ValueError, match="vectorized"):
+            BackendConfig(engine="vectorized").validate()
 
     def test_engine_and_vectorized_both_set_rejected(self, clean_fastcore):
-        with pytest.raises(ValueError, match="not both"):
-            BackendConfig(engine="vectorized", vectorized=True).validate()
-
-    def test_vectorized_shim_still_pins_engines(self, clean_fastcore):
-        assert BackendConfig(vectorized=True).resolved_engine() == "vectorized"
-        assert BackendConfig(vectorized=False).resolved_engine() == "reference"
-
-    def test_legacy_boolean_constructor_path_still_works(self, clean_fastcore):
-        backend = SimulatedDeviceBackend(
-            spec=SPEC, seed=3, config=BackendConfig(vectorized=False)
-        )
-        assert backend.device.engine == "reference"
-        assert not backend.device.vectorized
-
-    def test_direct_device_vectorized_flag_never_auto_selects(self, clean_fastcore):
-        # Pre-engine constructor callers must keep their exact engine.
-        assert SimulatedGPU(SPEC, seed=1, vectorized=True).engine == "vectorized"
-        assert SimulatedGPU(SPEC, seed=1, vectorized=False).engine == "reference"
+        # The deprecated field is gone: passing it is a TypeError.
+        with pytest.raises(TypeError):
+            BackendConfig(engine="compiled", vectorized=True)
 
     def test_auto_accepted_as_explicit_engine_string(self, clean_fastcore):
         config = BackendConfig(engine="auto")
         config.validate()
-        assert config.resolved_engine() in ("compiled", "vectorized")
+        assert config.resolved_engine() == "compiled"
 
 
 # --------------------------------------------------------------------- #
@@ -250,8 +312,6 @@ class TestRelaxSpan:
 
     def test_compiled_idle_kernel_treats_zero_span_as_noop(self, clean_fastcore):
         bundle = fastcore.kernels()
-        if bundle is None:
-            pytest.skip("no compiled-kernel provider in this environment")
         from repro.gpu import _fastcore_kernels as K
 
         st, pp, _, _ = fastcore._scenario_params()

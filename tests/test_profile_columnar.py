@@ -3,8 +3,9 @@
 The columnar rebuild's contract is that nothing about the numbers changes:
 statistics, smoothing, restriction, subsampling and export rows must be
 bit-identical whether a profile is built from LOI columns
-(``profile_from_lois``), from frozen points (``profile_from_lois_reference``),
-or assembled by the columnar vs object-based stitcher.
+(``profile_from_lois``) or from frozen points (``profile_from_lois_reference``),
+and the stitcher's column-sliced profiles must equal point-built profiles of
+the same series' LOI lists.
 """
 
 from __future__ import annotations
@@ -128,25 +129,62 @@ class TestColumnarVsObjectConstruction:
 class TestStitcherEquivalence:
     @pytest.fixture(scope="class")
     def results(self):
-        def run_one(columnar: bool):
-            backend = SimulatedDeviceBackend(spec=mi300x_spec(), seed=41)
-            profiler = FinGraVProfiler(
-                backend,
-                ProfilerConfig(seed=411, max_additional_runs=80, columnar=columnar),
-            )
-            return profiler.profile(cb_gemm(2048), runs=12)
+        backend = SimulatedDeviceBackend(spec=mi300x_spec(), seed=41)
+        profiler = FinGraVProfiler(
+            backend, ProfilerConfig(seed=411, max_additional_runs=80)
+        )
+        result = profiler.profile(cb_gemm(2048), runs=12)
+        golden = set(result.golden_run_indices)
+        # One-pass collect over every record, vs the profiler's batch-wise
+        # incremental extends.
+        stitcher = ProfileStitcher(calibration=result.calibration)
+        series = stitcher.collect(result.runs)
 
-        return run_one(True), run_one(False)
+        def golden_only(lois):
+            return [loi for loi in lois if loi.run_index in golden]
+
+        name = result.kernel_name
+        run_points = tuple(
+            point
+            for run in result.runs
+            if run.run_index in golden
+            for point in stitcher._run_points(run, run.first_execution.cpu_start_s, True)
+        )
+        objects = {
+            "ssp_profile": profile_from_lois_reference(
+                name, ProfileKind.SSP,
+                golden_only(series.lois_from_execution(result.plan.ssp_index)),
+                result.ssp_profile.execution_time_s,
+            ),
+            "sse_profile": profile_from_lois_reference(
+                name, ProfileKind.SSE,
+                golden_only(series.lois_for_execution(result.plan.sse_index)),
+                result.sse_profile.execution_time_s,
+            ),
+            "run_profile": FineGrainProfile(
+                kernel_name=name,
+                kind=ProfileKind.RUN,
+                points=run_points,
+                execution_time_s=result.run_profile.execution_time_s,
+            ),
+        }
+        return result, objects
 
     @pytest.mark.parametrize("attribute", ["ssp_profile", "sse_profile", "run_profile"])
     def test_profiles_bit_identical(self, results, attribute):
-        columnar, objects = results
-        assert_profiles_identical(getattr(columnar, attribute), getattr(objects, attribute))
+        result, objects = results
+        assert len(objects[attribute]) > 0
+        assert_profiles_identical(getattr(result, attribute), objects[attribute])
 
     def test_same_runs_and_golden_selection(self, results):
-        columnar, objects = results
-        assert columnar.num_runs == objects.num_runs
-        assert columnar.golden_run_indices == objects.golden_run_indices
+        result, objects = results
+        binning = ExecutionTimeBinner(result.binning.margin).bin(
+            [run.ssp_execution.duration_s for run in result.runs]
+        )
+        assert result.golden_run_indices == tuple(
+            result.runs[i].run_index for i in binning.selected_indices
+        )
+        assert result.ssp_loi_count == len(objects["ssp_profile"])
 
 
 class TestComponentsUnionFix:

@@ -40,7 +40,8 @@ from repro.kernels.workloads import cb_gemm, mb_gemv
 def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
     """The monolithic nine-step ``profile()`` body before ProfileSession.
 
-    Kept verbatim (modulo ``self`` -> ``profiler``) as the bit-identity
+    Kept verbatim (modulo ``self`` -> ``profiler``, and minus the branches
+    of the since-removed legacy stitching pipeline) as the bit-identity
     reference for the fixed-count collection policy.
     """
     config = profiler.config
@@ -90,10 +91,7 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
     binner = ExecutionTimeBinner(margin) if config.apply_binning else None
     ssp_durations = [record.ssp_execution.duration_s for record in records]
     if binner is not None:
-        if config.vectorized:
-            binning = binner.extend(ssp_durations)
-        else:
-            binning = binner.bin(ssp_durations)
+        binning = binner.extend(ssp_durations)
         golden_indices = [records[i].run_index for i in binning.selected_indices]
 
     # Step 7: sync and LOI extraction (via the stitcher).
@@ -101,8 +99,6 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
         components=config.components,
         calibration=calibration if config.synchronize else None,
         synchronize=config.synchronize,
-        vectorized=config.vectorized,
-        columnar=config.columnar,
     )
     series = stitcher.collect(records)
 
@@ -113,29 +109,16 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
     ssp_start = profiler._ssp_start_index(plan) if config.differentiate else None
 
     def ssp_have():
-        if config.vectorized:
-            if ssp_start is None:
-                return series.count_last_execution_lois(golden_indices)
-            return series.count_lois(
-                min_execution_index=ssp_start, golden_runs=golden_indices
-            )
         if ssp_start is None:
-            lois = series.lois_for_last_execution()
-        else:
-            lois = [
-                loi for loi in series.all_lois() if loi.execution_index >= ssp_start
-            ]
-        return profiler._count_golden(lois, golden_indices)
+            return series.count_last_execution_lois(golden_indices)
+        return series.count_lois(
+            min_execution_index=ssp_start, golden_runs=golden_indices
+        )
 
     def shortfall():
-        if config.vectorized:
-            sse_have = series.count_lois(
-                execution_index=plan.sse_index, golden_runs=golden_indices
-            )
-        else:
-            sse_have = profiler._count_golden(
-                series.lois_for_execution(plan.sse_index), golden_indices
-            )
+        sse_have = series.count_lois(
+            execution_index=plan.sse_index, golden_runs=golden_indices
+        )
         return max(target_lois - ssp_have(), sse_target - sse_have)
 
     while shortfall() > 0 and extra_budget > 0:
@@ -150,21 +133,11 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
         records = records + extra_records
         extra_budget -= batch
         if binner is not None and extra_records:
-            if config.vectorized:
-                binning = binner.extend(
-                    record.ssp_execution.duration_s for record in extra_records
-                )
-            else:
-                binner = ExecutionTimeBinner(margin)
-                ssp_durations = [
-                    record.ssp_execution.duration_s for record in records
-                ]
-                binning = binner.bin(ssp_durations)
+            binning = binner.extend(
+                record.ssp_execution.duration_s for record in extra_records
+            )
             golden_indices = [records[i].run_index for i in binning.selected_indices]
-        if config.vectorized:
-            series = stitcher.extend(series, extra_records)
-        else:
-            series = stitcher.collect(records)
+        series = stitcher.extend(series, extra_records)
 
     # Step 9: stitch the profiles.
     base_metadata = {"preceding": []}
@@ -205,9 +178,9 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
 # --------------------------------------------------------------------------- #
 # Comparison helpers.
 # --------------------------------------------------------------------------- #
-def make_profiler(backend_seed: int, **config_overrides) -> FinGraVProfiler:
+def make_profiler(backend_seed: int, engine=None, **config_overrides) -> FinGraVProfiler:
     backend = SimulatedDeviceBackend(
-        spec=mi300x_spec(), seed=backend_seed, config=BackendConfig()
+        spec=mi300x_spec(), seed=backend_seed, config=BackendConfig(engine=engine)
     )
     return FinGraVProfiler(backend, ProfilerConfig(**config_overrides))
 
@@ -265,9 +238,9 @@ SCENARIOS = {
     "sse-only": dict(kernel_size=2048, backend_seed=23,
                      config=dict(seed=223, differentiate=False,
                                  max_additional_runs=80), runs=20),
-    "legacy-engine": dict(kernel_size=2048, backend_seed=24,
-                          config=dict(seed=224, vectorized=False,
-                                      max_additional_runs=80), runs=20),
+    # The per-slice reference device engine under the whole session.
+    "reference-engine": dict(kernel_size=2048, backend_seed=24, engine="reference",
+                             config=dict(seed=224, max_additional_runs=80), runs=20),
     "slim": dict(kernel_size=2048, backend_seed=25,
                  config=dict(seed=225, result_mode="slim",
                              max_additional_runs=80), runs=20),
@@ -287,8 +260,9 @@ class TestFixedModeBitIdentity:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_profile_matches_legacy(self, name):
         kernel, backend_seed, config, runs = build_scenario(name)
-        old = legacy_profile(make_profiler(backend_seed, **config), kernel, runs=runs)
-        new = make_profiler(backend_seed, **config).profile(kernel, runs=runs)
+        engine = SCENARIOS[name].get("engine")
+        old = legacy_profile(make_profiler(backend_seed, engine, **config), kernel, runs=runs)
+        new = make_profiler(backend_seed, engine, **config).profile(kernel, runs=runs)
         if SCENARIOS[name]["config"].get("result_mode") == "slim":
             # Slim results drop the raw runs; compare the retained payload.
             assert new.kernel_name == old.kernel_name

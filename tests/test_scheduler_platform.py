@@ -82,9 +82,9 @@ class TestObservedDurationClamp:
     """Regression: independent start/end timestamp errors used to let
     sub-microsecond kernels report ``cpu_end_s < cpu_start_s``."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_observed_duration_never_negative(self, spec, vectorized):
-        device = SimulatedGPU(spec, seed=5, vectorized=vectorized)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_observed_duration_never_negative(self, spec, compiled):
+        device = SimulatedGPU(spec, seed=5, engine="compiled" if compiled else "reference")
         launcher = KernelLauncher(device, LaunchConfig())
         descriptor = submicrosecond_descriptor()
         observed = launcher.launch_sequence(descriptor, executions=300)
@@ -96,11 +96,12 @@ class TestObservedDurationClamp:
         for o in observed:
             assert o.ground_truth.duration_s > 0
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_backend_run_accepts_submicrosecond_kernel(self, spec, vectorized):
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_backend_run_accepts_submicrosecond_kernel(self, spec, compiled):
         # Before the clamp, ExecutionTiming's validation made this raise.
+        engine = "compiled" if compiled else "reference"
         backend = SimulatedDeviceBackend(
-            spec=mi300x_spec(), seed=5, config=BackendConfig(vectorized=vectorized)
+            spec=mi300x_spec(), seed=5, config=BackendConfig(engine=engine)
         )
         record = backend.run(
             submicrosecond_descriptor(), executions=120, pre_delay_s=0.0, run_index=0
@@ -115,7 +116,21 @@ class TestInfinityPlatform:
 
     def test_fully_connected(self, platform):
         assert platform.is_fully_connected()
-        assert platform.topology.number_of_edges() == 8 * 7 // 2
+        assert len(platform.links) == 8 * 7 // 2
+        assert len(set(platform.links)) == len(platform.links)
+
+    def test_links_are_every_rank_pair_with_uniform_fabric(self, platform):
+        links = platform.links
+        assert links == tuple(sorted(links))
+        assert all(src < dst for src, dst in links)
+        for src, dst in links:
+            assert platform.link_bandwidth(src, dst) == platform.link_bandwidth(dst, src)
+            assert platform.link_latency(src, dst) == platform.link_latency(0, 1)
+        for rank in range(platform.num_gpus):
+            assert sorted(
+                {dst for src, dst in links if src == rank}
+                | {src for src, dst in links if dst == rank}
+            ) == platform.peers_of(rank)
 
     def test_peers_of_each_rank(self, platform):
         for rank in range(platform.num_gpus):

@@ -16,7 +16,7 @@ class TestThermalModel:
 
     @pytest.mark.parametrize("active", [True, False])
     def test_relax_span_composes_per_slice_steps(self, active):
-        # The analytic basis of the vectorized device's idle handling: one
+        # The analytic basis of the compiled device's idle handling: one
         # closed-form relaxation over a span equals stepping its slices one
         # by one, up to float rounding.
         rng = np.random.default_rng(42)

@@ -1,9 +1,11 @@
-"""Equivalence tests: the vectorized stitching engine vs the legacy pipeline.
+"""Equivalence tests: the array-based LOI/profile pipeline vs its oracles.
 
-The PR's contract is that vectorization changes *nothing* about the numbers:
-LOI extraction, profile stitching and the full nine-step profiler must produce
-bit-identical results whether the NumPy path or the pure-Python reference path
-is used.
+LOI extraction, profile stitching and the full nine-step profiler must
+produce bit-identical results to the retained scalar oracles
+(:func:`~repro.core.timesync.extract_lois_reference`,
+:func:`~repro.core.timesync.extract_lois_unsynchronized_reference`,
+:func:`~repro.core.profile.profile_from_lois_reference`) and to a
+from-scratch :meth:`ExecutionTimeBinner.bin` over the same run records.
 """
 
 from __future__ import annotations
@@ -11,8 +13,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.binning import ExecutionTimeBinner
+from repro.core.profile import (
+    FineGrainProfile,
+    ProfileKind,
+    ProfilePoint,
+    profile_from_lois_reference,
+)
 from repro.core.profiler import FinGraVProfiler, ProfilerConfig
 from repro.core.records import ExecutionTiming, PowerReading, RunRecord, TimestampAnchor
+from repro.core.stitching import mean_duration_or_zero
 from repro.core.timesync import (
     extract_lois,
     extract_lois_reference,
@@ -232,23 +242,92 @@ class TestBatchExtraction:
         )
 
 
+def run_profile_oracle(result, golden):
+    """Whole-run profile, one scalar point per reading (no batched matching)."""
+    points = []
+    durations = []
+    for run in result.runs:
+        if run.run_index not in golden:
+            continue
+        synchronizer = synchronizer_for_run(run, result.calibration)
+        origin = run.first_execution.cpu_start_s
+        durations.append(run.last_execution.cpu_end_s - origin)
+        for reading in run.readings:
+            window_end = synchronizer.cpu_time_of(reading.gpu_timestamp_ticks)
+            execution = match_execution(run.executions, window_end)
+            points.append(
+                ProfilePoint(
+                    time_s=window_end - origin,
+                    powers_w={
+                        component: reading.component(component)
+                        for component in result.config.components
+                        if reading.has_component(component)
+                    },
+                    run_index=run.run_index,
+                    execution_index=-1 if execution is None else execution.index,
+                )
+            )
+    return FineGrainProfile(
+        kernel_name=result.kernel_name,
+        kind=ProfileKind.RUN,
+        points=tuple(points),
+        execution_time_s=mean_duration_or_zero(durations),
+    )
+
+
+def oracle_result(result):
+    """Golden runs and SSP/SSE/run profiles rebuilt from ``result.runs``."""
+    runs = result.runs
+    binning = ExecutionTimeBinner(result.binning.margin).bin(
+        [run.ssp_execution.duration_s for run in runs]
+    )
+    golden_order = tuple(runs[i].run_index for i in binning.selected_indices)
+    golden = set(golden_order)
+    lois = [
+        loi
+        for run in runs
+        if run.run_index in golden
+        for loi in extract_lois_reference(run, synchronizer_for_run(run, result.calibration))
+    ]
+
+    def profile(kind, keep, execution_index):
+        execution_time = mean_duration_or_zero(
+            [run.execution(execution_index).duration_s for run in runs if run.run_index in golden]
+        )
+        return profile_from_lois_reference(
+            result.kernel_name, kind, [loi for loi in lois if keep(loi)], execution_time,
+            components=result.config.components,
+        )
+
+    ssp_start = result.plan.ssp_index
+    sse_index = result.plan.sse_index
+    return {
+        "golden_run_indices": golden_order,
+        "ssp_profile": profile(
+            ProfileKind.SSP, lambda loi: loi.execution_index >= ssp_start, ssp_start
+        ),
+        "sse_profile": profile(
+            ProfileKind.SSE, lambda loi: loi.execution_index == sse_index, sse_index
+        ),
+        "run_profile": run_profile_oracle(result, golden),
+    }
+
+
 class TestProfilerEquivalence:
     @pytest.fixture(scope="class")
     def results(self):
-        def run_one(vectorized):
-            backend = SimulatedDeviceBackend(spec=mi300x_spec(), seed=31)
-            profiler = FinGraVProfiler(
-                backend,
-                ProfilerConfig(seed=311, max_additional_runs=80, vectorized=vectorized),
-            )
-            return profiler.profile(cb_gemm(2048), runs=12)
-
-        return run_one(True), run_one(False)
+        backend = SimulatedDeviceBackend(spec=mi300x_spec(), seed=31)
+        profiler = FinGraVProfiler(
+            backend, ProfilerConfig(seed=311, max_additional_runs=80)
+        )
+        result = profiler.profile(cb_gemm(2048), runs=12)
+        return result, oracle_result(result)
 
     @pytest.mark.parametrize("attribute", ["ssp_profile", "sse_profile", "run_profile"])
     def test_profiles_bit_identical(self, results, attribute):
-        vectorized, legacy = results
-        pv, pl = getattr(vectorized, attribute), getattr(legacy, attribute)
+        result, oracle = results
+        pv, pl = getattr(result, attribute), oracle[attribute]
+        assert len(pv) > 0
         assert len(pv) == len(pl)
         assert pv.execution_time_s == pl.execution_time_s
         assert np.array_equal(pv.times(), pl.times())
@@ -256,12 +335,15 @@ class TestProfilerEquivalence:
         for component in pv.components:
             assert np.array_equal(pv.series(component), pl.series(component))
         assert pv.run_indices() == pl.run_indices()
+        assert np.array_equal(pv.columns().execution_index, pl.columns().execution_index)
 
     def test_same_runs_and_golden_selection(self, results):
-        vectorized, legacy = results
-        assert vectorized.num_runs == legacy.num_runs
-        assert vectorized.golden_run_indices == legacy.golden_run_indices
-        assert vectorized.ssp_loi_count == legacy.ssp_loi_count
+        result, oracle = results
+        # The top-up loop really ran, so the incremental binner was extended.
+        assert result.num_runs > 12
+        assert result.golden_run_indices == oracle["golden_run_indices"]
+        assert result.num_golden_runs < result.num_runs
+        assert result.ssp_loi_count == len(oracle["ssp_profile"])
 
 
 class TestConfigOverrides:
