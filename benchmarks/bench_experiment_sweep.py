@@ -219,20 +219,21 @@ def test_sweep_worker_scaling():
 
 
 # --------------------------------------------------------------------------- #
-# Slim vs full result payloads: every fig7 job, both modes.
+# Result payloads with and without the raw runs: every fig7 job.
 # --------------------------------------------------------------------------- #
 @pytest.mark.bench
 def test_slim_vs_full_payload():
-    """Slim results shrink fig7 job payloads >=5x with bit-identical profiles."""
+    """Dropping the "runs" section shrinks fig7 payloads >=5x, profiles intact.
+
+    "full" is every section (``sections=None``); "slim" is the three profile
+    sections without the raw runs, the same pair as the earlier entries of
+    the ``slim_payload`` series.  The driver-declared subsets are measured
+    separately by bench_result_payload.py (``payload_v2``).
+    """
     rows = []
     for job in fig7_jobs(scale=FAST_SCALE):
-        # Pin sections to all-three so this series stays comparable with the
-        # PR 4 baseline; the driver-declared subsets are measured separately
-        # by bench_result_payload.py (``payload_v2``).
-        full = execute_job(dataclasses.replace(job, result_mode="full"))
-        slim = execute_job(
-            dataclasses.replace(job, result_mode="slim", profile_sections=None)
-        )
+        full = execute_job(dataclasses.replace(job, sections=None))
+        slim = execute_job(dataclasses.replace(job, sections=("ssp", "sse", "run")))
         for attribute in ("ssp_profile", "sse_profile", "run_profile"):
             pa, pb = getattr(full, attribute), getattr(slim, attribute)
             assert np.array_equal(pa.times(), pb.times())

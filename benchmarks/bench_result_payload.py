@@ -6,7 +6,8 @@ Two measurements, both extending ``BENCH_profiler.json`` under ``payload_v2``:
   Figure-7 and Table-I job exactly as the drivers declare them (fig7 retains
   ``("ssp", "sse")``, table1 retains nothing) and records the pickled payload
   bytes.  The fig7 total must shrink at least a further 2x against the PR 4
-  ``slim_payload`` baseline, which pickled all three stitched profiles.
+  ``slim_payload`` baseline, which pickled all three stitched profiles
+  without the raw runs.
 * ``test_npz_spill_rss`` round-trips a 100k-point profile through the sweep
   cache's spill codec (pickle envelope + memory-mapped ``.npz`` sidecar),
   asserts the reload is bit-identical, and measures the peak RSS of a fresh
@@ -80,7 +81,7 @@ def test_sectioned_payload_vs_pr4_baseline():
         result = execute_job(job)  # driver-declared sections, untouched
         row = {
             "job": job.job_id,
-            "sections": list(job.profile_sections or ()),
+            "sections": list(job.sections or ()),
             "bytes": _pickled_bytes(result),
         }
         before = baseline_bytes.get(job.job_id)

@@ -40,12 +40,11 @@ from .profile import (
     profile_from_lois_reference,
 )
 from .profiler import (
-    PROFILE_SECTIONS,
+    SECTIONS,
     FinGraVProfiler,
     FinGraVResult,
     ProfilerConfig,
-    SlimFinGraVResult,
-    normalize_profile_sections,
+    normalize_sections,
 )
 from .records import (
     COMPONENT_KEYS,
@@ -116,10 +115,9 @@ __all__ = [
     "profile_from_lois_reference",
     "FinGraVProfiler",
     "FinGraVResult",
-    "SlimFinGraVResult",
     "ProfilerConfig",
-    "PROFILE_SECTIONS",
-    "normalize_profile_sections",
+    "SECTIONS",
+    "normalize_sections",
     "COMPONENT_KEYS",
     "DelayCalibration",
     "ExecutionColumns",

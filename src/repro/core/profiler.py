@@ -79,21 +79,14 @@ class ProfilerConfig:
     ssp_tail_fraction: float = 0.25
     min_ssp_tail_executions: int = 2
     max_ssp_tail_executions: int = 12
-    #: What :meth:`FinGraVProfiler.profile` returns.  ``"full"`` is the
-    #: complete :class:`FinGraVResult` (raw run records included);
-    #: ``"slim"`` is its :class:`SlimFinGraVResult` projection -- bit-identical
-    #: profiles plus the summary/golden-run metadata, but no raw runs -- which
-    #: shrinks worker-IPC and cache payloads for consumers that never
-    #: re-stitch the runs.
-    result_mode: str = "full"
-    #: Which profile sections a slim result retains, declared by the consumer
-    #: (the experiment drivers): any subset of ``("ssp", "sse", "run")``, or
-    #: ``None`` for all three.  The summary snapshot is captured regardless,
-    #: so summary-only consumers can declare ``()``.  When ``"run"`` is
-    #: excluded the whole-run profile is never even stitched.  Ignored with
-    #: ``result_mode="full"`` (e.g. when ``FINGRAV_RESULT_MODE=full``
-    #: overrides a driver's default at job-construction time).
-    profile_sections: tuple[str, ...] | None = None
+    #: Which sections :meth:`FinGraVProfiler.profile` returns: any subset of
+    #: :data:`SECTIONS` (the SSP, SSE and whole-run profiles, and ``"runs"``
+    #: -- the raw run records plus their binning), or ``None`` for all four.
+    #: The run bookkeeping and summary snapshot are kept regardless, so
+    #: summary-only consumers can declare ``()``.  When ``"run"`` is excluded
+    #: the whole-run profile is never even stitched.  Stored deduplicated
+    #: and in canonical order.
+    sections: tuple[str, ...] | None = None
     #: Stop run collection early once the golden-run SSP/SSE estimates have
     #: converged (per-bin 95 % confidence intervals within
     #: ``convergence_rtol`` of the section mean).  ``False`` reproduces the
@@ -133,140 +126,52 @@ class ProfilerConfig:
             raise ValueError(
                 f"checkpoint_every must be positive, got {self.checkpoint_every}"
             )
+        if self.sections is not None:
+            object.__setattr__(self, "sections", normalize_sections(self.sections))
 
     def with_overrides(self, **kwargs: object) -> "ProfilerConfig":
         return replace(self, **kwargs)
 
 
-#: The three profile sections a result can carry, in canonical order.
-PROFILE_SECTIONS: tuple[str, ...] = ("ssp", "sse", "run")
+#: The sections a result can hold, in canonical order: the SSP, SSE and
+#: whole-run profiles, and ``"runs"`` (the raw run records and their binning).
+SECTIONS: tuple[str, ...] = ("ssp", "sse", "run", "runs")
+
+#: Result attribute -> the section that holds it.
+_SECTION_OF: dict[str, str] = {
+    "ssp_profile": "ssp",
+    "sse_profile": "sse",
+    "run_profile": "run",
+    "runs": "runs",
+    "binning": "runs",
+}
 
 
-def normalize_profile_sections(sections: Sequence[str] | None) -> tuple[str, ...]:
-    """Validate and canonicalise a profile-section declaration.
+def normalize_sections(sections: Sequence[str] | None) -> tuple[str, ...]:
+    """Validate and canonicalise a section declaration.
 
     ``None`` means every section; anything else is deduplicated and reordered
-    to :data:`PROFILE_SECTIONS` order.  Unknown names raise ``ValueError``.
+    to :data:`SECTIONS` order.  Unknown names raise ``ValueError``.
     """
     if sections is None:
-        return PROFILE_SECTIONS
+        return SECTIONS
     requested = {str(section) for section in sections}
-    unknown = requested - set(PROFILE_SECTIONS)
+    unknown = requested - set(SECTIONS)
     if unknown:
-        raise ValueError(
-            f"unknown profile sections {sorted(unknown)}; pick from {PROFILE_SECTIONS}"
-        )
-    return tuple(name for name in PROFILE_SECTIONS if name in requested)
+        raise ValueError(f"unknown sections {sorted(unknown)}; pick from {SECTIONS}")
+    return tuple(name for name in SECTIONS if name in requested)
 
 
 @dataclass(frozen=True)
 class FinGraVResult:
-    """Everything the profiler produced for one kernel."""
+    """Everything the profiler produced for one kernel, cut to its sections.
 
-    kernel_name: str
-    execution_time_s: float
-    guidance: GuidanceEntry
-    plan: DifferentiationPlan
-    calibration: DelayCalibration | None
-    runs: tuple[RunRecord, ...]
-    binning: BinningResult | None
-    ssp_profile: FineGrainProfile
-    sse_profile: FineGrainProfile
-    #: ``None`` only transiently, inside the profiler, when a slim section
-    #: subset excludes ``"run"`` (the result is projected before it escapes);
-    #: a full result handed to callers always carries it.
-    run_profile: FineGrainProfile | None
-    config: ProfilerConfig
-    metadata: Mapping[str, object] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def golden_run_indices(self) -> tuple[int, ...]:
-        if self.binning is None:
-            return tuple(run.run_index for run in self.runs)
-        ordered = [run.run_index for run in self.runs]
-        return tuple(ordered[i] for i in self.binning.selected_indices)
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.runs)
-
-    @property
-    def num_golden_runs(self) -> int:
-        return len(self.golden_run_indices)
-
-    @property
-    def ssp_loi_count(self) -> int:
-        return len(self.ssp_profile)
-
-    @property
-    def executions_per_run(self) -> int:
-        """Kernel executions in each run (1 when no runs were recorded)."""
-        return self.runs[0].num_executions if self.runs else 1
-
-    @property
-    def is_slim(self) -> bool:
-        return False
-
-    def sse_vs_ssp_error(self, component: str = "total") -> float:
-        """Relative measurement error of reporting SSE instead of SSP power."""
-        if self.sse_profile.is_empty or self.ssp_profile.is_empty:
-            raise ValueError("both SSE and SSP profiles are needed for the error")
-        return measurement_error(self.sse_profile, self.ssp_profile, component)
-
-    def summary(self) -> dict[str, object]:
-        """Compact summary used by reports and the experiment drivers."""
-        return _result_summary(self)
-
-    def slim(self, sections: Sequence[str] | None = None) -> "SlimFinGraVResult":
-        """Project this result to its slim form (no raw run records).
-
-        ``sections`` declares which profiles to retain (any subset of
-        :data:`PROFILE_SECTIONS`; ``None`` keeps all three).  Retained
-        profiles are carried over as-is (bit-identical); the summary is
-        snapshotted at projection time, so it -- including the SSE-vs-SSP
-        error -- stays available for any subset, even ``()``.  Use it to cut
-        serialisation cost wherever the consumer never re-stitches the raw
-        runs (worker IPC, the sweep's on-disk cache).
-        """
-        sections = normalize_profile_sections(sections)
-        profiles: dict[str, FineGrainProfile] = {}
-        for name in sections:
-            profile = getattr(self, f"{name}_profile")
-            if profile is None:
-                raise ValueError(f"cannot retain section {name!r}: it was never built")
-            profiles[name] = profile
-        return SlimFinGraVResult(
-            kernel_name=self.kernel_name,
-            execution_time_s=self.execution_time_s,
-            guidance=self.guidance,
-            plan=self.plan,
-            calibration=self.calibration,
-            num_runs=self.num_runs,
-            golden_run_indices=self.golden_run_indices,
-            executions_per_run=self.executions_per_run,
-            ssp_loi_count=self.ssp_loi_count,
-            sections=sections,
-            profiles=profiles,
-            summary_data=_result_summary(self),
-            config=self.config,
-            metadata=dict(self.metadata),
-        )
-
-
-@dataclass(frozen=True)
-class SlimFinGraVResult:
-    """A :class:`FinGraVResult` without the raw run records.
-
-    Everything a consumer needs *unless* it re-stitches the raw runs: the
-    retained profile ``sections`` (the same objects the full result holds --
-    bit-identical), the summary snapshot captured at projection time, the
-    plan/guidance/calibration, and the run bookkeeping (total run count,
-    golden-run indices, executions per run, SSP LOI count) that the full
-    result derives from ``runs``/``binning``.  Accessing ``runs`` or
-    ``binning`` raises with a pointer at ``result_mode="full"``; accessing a
-    profile section that was not declared raises with a pointer at
-    ``ProfilerConfig(profile_sections=...)``.
+    Every result carries the plan/guidance/calibration, the run bookkeeping
+    (run count, golden-run indices, executions per run, SSP LOI count), the
+    summary snapshot and ``metadata["collection"]``.  The profiles and the
+    raw runs are held only for the declared ``sections``
+    (``ProfilerConfig(sections=...)``); reading an undeclared one raises
+    ``AttributeError``.
     """
 
     kernel_name: str
@@ -278,127 +183,148 @@ class SlimFinGraVResult:
     golden_run_indices: tuple[int, ...]
     executions_per_run: int
     ssp_loi_count: int
-    #: Which profile sections this result retains (canonical order).
+    #: The sections this result holds (canonical order).
     sections: tuple[str, ...]
-    #: The retained profiles, keyed by section name.
-    profiles: Mapping[str, FineGrainProfile]
-    #: Summary snapshot captured at projection time; keeps ``summary()`` and
-    #: the total-power SSE-vs-SSP error available for any section subset.
+    #: The held objects, keyed by attribute name (``ssp_profile``, ``runs``...).
+    payload: Mapping[str, object]
+    #: Summary snapshot taken before undeclared sections were dropped; keeps
+    #: ``summary()`` and the total-power SSE-vs-SSP error available for any
+    #: section subset.
     summary_data: Mapping[str, object]
     config: ProfilerConfig
     metadata: Mapping[str, object] = field(default_factory=dict)
 
+    @classmethod
+    def assemble(
+        cls,
+        kernel_name: str,
+        execution_time_s: float,
+        guidance: GuidanceEntry,
+        plan: DifferentiationPlan,
+        calibration: DelayCalibration | None,
+        runs: tuple[RunRecord, ...],
+        binning: BinningResult | None,
+        profiles: Mapping[str, FineGrainProfile],
+        config: ProfilerConfig,
+        metadata: Mapping[str, object],
+    ) -> "FinGraVResult":
+        """The result ``config.sections`` declares, from a finished collection.
+
+        ``profiles`` maps section name to stitched profile; it needs
+        ``"ssp"`` and ``"sse"`` (the summary reads both) and ``"run"`` when
+        that section is declared.
+        """
+        sections = normalize_sections(config.sections)
+        ssp, sse = profiles["ssp"], profiles["sse"]
+        if binning is None:
+            golden = tuple(run.run_index for run in runs)
+        else:
+            golden = tuple(runs[i].run_index for i in binning.selected_indices)
+        summary: dict[str, object] = {
+            "kernel": kernel_name,
+            "execution_time_s": execution_time_s,
+            "runs": len(runs),
+            "golden_runs": len(golden),
+            "warmup_executions": plan.warmup_executions,
+            "sse_executions": plan.sse_executions,
+            "ssp_executions": plan.ssp_executions,
+            "throttling_detected": plan.throttling_detected,
+            "ssp_lois": len(ssp),
+        }
+        if not ssp.is_empty:
+            summary["ssp_mean_total_w"] = ssp.mean_power_w("total")
+        if not sse.is_empty:
+            summary["sse_mean_total_w"] = sse.mean_power_w("total")
+        if not ssp.is_empty and not sse.is_empty:
+            summary["sse_vs_ssp_error"] = measurement_error(sse, ssp, "total")
+        collection = metadata.get("collection")
+        if collection is not None:
+            summary["collection"] = dict(collection)
+        # Raw runs first: they hold most of the pickle's repeated references,
+        # which stay short while the pickler's memo is still small.
+        available = {
+            "runs": runs,
+            "binning": binning,
+            "ssp_profile": ssp,
+            "sse_profile": sse,
+            "run_profile": profiles.get("run"),
+        }
+        return cls(
+            kernel_name=kernel_name,
+            execution_time_s=execution_time_s,
+            guidance=guidance,
+            plan=plan,
+            calibration=calibration,
+            num_runs=len(runs),
+            golden_run_indices=golden,
+            executions_per_run=runs[0].num_executions if runs else 1,
+            ssp_loi_count=len(ssp),
+            sections=sections,
+            payload={
+                name: value for name, value in available.items()
+                if _SECTION_OF[name] in sections
+            },
+            summary_data=summary,
+            config=config,
+            metadata=dict(metadata),
+        )
+
     # ------------------------------------------------------------------ #
+    def _held(self, name: str):
+        section = _SECTION_OF[name]
+        if section not in self.sections:
+            raise AttributeError(
+                f"result holds sections {self.sections!r}, not {section!r} "
+                f"(which carries {name!r}); declare it via sections=..."
+            )
+        return self.payload[name]
+
+    @property
+    def ssp_profile(self) -> FineGrainProfile:
+        return self._held("ssp_profile")
+
+    @property
+    def sse_profile(self) -> FineGrainProfile:
+        return self._held("sse_profile")
+
+    @property
+    def run_profile(self) -> FineGrainProfile:
+        return self._held("run_profile")
+
+    @property
+    def runs(self) -> tuple[RunRecord, ...]:
+        return self._held("runs")
+
+    @property
+    def binning(self) -> BinningResult | None:
+        return self._held("binning")
+
     @property
     def num_golden_runs(self) -> int:
         return len(self.golden_run_indices)
 
-    @property
-    def is_slim(self) -> bool:
-        return True
-
-    def _section(self, name: str) -> FineGrainProfile:
-        try:
-            return self.profiles[name]
-        except KeyError:
-            raise AttributeError(
-                f"slim result retains profile sections {self.sections!r}, not "
-                f"{name!r}; declare it via ProfilerConfig(profile_sections=...) "
-                "or profile with result_mode='full'"
-            ) from None
-
-    @property
-    def ssp_profile(self) -> FineGrainProfile:
-        return self._section("ssp")
-
-    @property
-    def sse_profile(self) -> FineGrainProfile:
-        return self._section("sse")
-
-    @property
-    def run_profile(self) -> FineGrainProfile:
-        return self._section("run")
-
-    @property
-    def runs(self) -> tuple[RunRecord, ...]:
-        raise AttributeError(
-            "slim results carry no raw runs; profile with "
-            "ProfilerConfig(result_mode='full') to re-stitch run records"
-        )
-
-    @property
-    def binning(self) -> BinningResult:
-        raise AttributeError(
-            "slim results carry no binning detail; profile with "
-            "ProfilerConfig(result_mode='full') for the full BinningResult"
-        )
-
     def sse_vs_ssp_error(self, component: str = "total") -> float:
         """Relative measurement error of reporting SSE instead of SSP power.
 
-        Computed live when both profiles are retained; otherwise answered
-        from the summary snapshot (total power only).  Raises ``ValueError``
-        -- never ``AttributeError`` -- when the error is unavailable, so
-        consumers that tolerate missing errors keep working on any subset.
+        Computed live when both profiles are held; otherwise answered from
+        the summary snapshot (total power only).  Raises ``ValueError`` --
+        never ``AttributeError`` -- when the error is unavailable, so
+        consumers that tolerate missing errors work on any section subset.
         """
-        ssp = self.profiles.get("ssp")
-        sse = self.profiles.get("sse")
-        if ssp is not None and sse is not None:
-            if sse.is_empty or ssp.is_empty:
+        if "ssp" in self.sections and "sse" in self.sections:
+            if self.sse_profile.is_empty or self.ssp_profile.is_empty:
                 raise ValueError("both SSE and SSP profiles are needed for the error")
-            return measurement_error(sse, ssp, component)
+            return measurement_error(self.sse_profile, self.ssp_profile, component)
         if component == "total" and "sse_vs_ssp_error" in self.summary_data:
             return float(self.summary_data["sse_vs_ssp_error"])
         raise ValueError(
-            f"sections {self.sections!r} retain no SSE/SSP profiles and the "
+            f"sections {self.sections!r} hold no SSE/SSP profiles and the "
             f"summary snapshot carries no {component!r} error"
         )
 
     def summary(self) -> dict[str, object]:
-        """Compact summary -- the snapshot captured at projection time."""
+        """Compact summary used by reports and the experiment drivers."""
         return dict(self.summary_data)
-
-    def slim(self, sections: Sequence[str] | None = None) -> "SlimFinGraVResult":
-        """This result, optionally narrowed to fewer sections."""
-        if sections is None:
-            return self
-        sections = normalize_profile_sections(sections)
-        missing = [name for name in sections if name not in self.profiles]
-        if missing:
-            raise ValueError(
-                f"cannot narrow to sections {sections!r}: {missing} were already "
-                f"dropped (retained: {self.sections!r})"
-            )
-        return replace(
-            self,
-            sections=sections,
-            profiles={name: self.profiles[name] for name in sections},
-        )
-
-
-def _result_summary(result: "FinGraVResult | SlimFinGraVResult") -> dict[str, object]:
-    """The summary dictionary shared by the full and slim result forms."""
-    summary: dict[str, object] = {
-        "kernel": result.kernel_name,
-        "execution_time_s": result.execution_time_s,
-        "runs": result.num_runs,
-        "golden_runs": result.num_golden_runs,
-        "warmup_executions": result.plan.warmup_executions,
-        "sse_executions": result.plan.sse_executions,
-        "ssp_executions": result.plan.ssp_executions,
-        "throttling_detected": result.plan.throttling_detected,
-        "ssp_lois": result.ssp_loi_count,
-    }
-    if not result.ssp_profile.is_empty:
-        summary["ssp_mean_total_w"] = result.ssp_profile.mean_power_w("total")
-    if not result.sse_profile.is_empty:
-        summary["sse_mean_total_w"] = result.sse_profile.mean_power_w("total")
-    if not result.ssp_profile.is_empty and not result.sse_profile.is_empty:
-        summary["sse_vs_ssp_error"] = result.sse_vs_ssp_error()
-    collection = result.metadata.get("collection")
-    if collection is not None:
-        summary["collection"] = dict(collection)
-    return summary
 
 
 class FinGraVProfiler:
@@ -412,14 +338,6 @@ class FinGraVProfiler:
     ) -> None:
         self._backend = backend
         self._config = config or ProfilerConfig()
-        if self._config.result_mode not in ("full", "slim"):
-            raise ValueError(
-                f"unknown result_mode {self._config.result_mode!r}; "
-                "pick 'full' or 'slim'"
-            )
-        # Fail fast on typos in the section declaration, even though the
-        # declaration only takes effect in slim mode.
-        normalize_profile_sections(self._config.profile_sections)
         self._guidance = guidance or paper_guidance_table()
         self._rng = np.random.default_rng(self._config.seed)
 
@@ -455,13 +373,13 @@ class FinGraVProfiler:
         runs: int | None = None,
         preceding: Sequence[PrecedingWork] = (),
         metadata: Mapping[str, object] | None = None,
-    ) -> "FinGraVResult | SlimFinGraVResult":
+    ) -> FinGraVResult:
         """Collect the fine-grain power profiles of ``kernel``.
 
         ``preceding`` optionally schedules other kernels inside every run just
         before the kernel of interest (the interleaved-execution studies of
-        paper Section V-C3).  With ``config.result_mode == "slim"`` the
-        returned result is the slim projection (same profiles, no raw runs).
+        paper Section V-C3).  The result holds the sections declared by
+        ``config.sections``.
 
         This is a thin driver over :class:`~repro.core.session.ProfileSession`:
         the session is set up (steps 1-4), collected to completion (steps 5-8,
@@ -554,9 +472,8 @@ class FinGraVProfiler:
 
 __all__ = [
     "ProfilerConfig",
-    "PROFILE_SECTIONS",
-    "normalize_profile_sections",
+    "SECTIONS",
+    "normalize_sections",
     "FinGraVResult",
-    "SlimFinGraVResult",
     "FinGraVProfiler",
 ]

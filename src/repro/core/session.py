@@ -42,12 +42,7 @@ from .backend import PrecedingWork
 from .binning import BinningResult, ExecutionTimeBinner
 from .differentiation import build_plan
 from .profile import FineGrainProfile
-from .profiler import (
-    PROFILE_SECTIONS,
-    FinGraVResult,
-    SlimFinGraVResult,
-    normalize_profile_sections,
-)
+from .profiler import FinGraVResult, normalize_sections
 from .records import RunRecord
 from .stitching import ProfileStitcher, StitchedRunSeries
 
@@ -178,7 +173,7 @@ class ProfileSession:
         self._stop_reason: str | None = None
         self._diagnostics: tuple[ConvergenceDiagnostics, ...] = ()
         self._diagnostics_at = -1
-        self._result: FinGraVResult | SlimFinGraVResult | None = None
+        self._result: FinGraVResult | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection.
@@ -339,15 +334,14 @@ class ProfileSession:
     # ------------------------------------------------------------------ #
     # Result assembly (step 9).
     # ------------------------------------------------------------------ #
-    def result(self) -> FinGraVResult | SlimFinGraVResult:
+    def result(self) -> FinGraVResult:
         """The final profiling result (step 9).
 
         SSP and SSE are always built (the summary snapshot needs their means
         and the SSE-vs-SSP error); the whole-run profile -- typically the
-        bulk of a payload -- is only stitched when the result actually
-        carries it: full mode, or a slim section declaration that includes
-        ``"run"``.  The collection audit (stop reason, runs saved, final CI)
-        rides ``result.metadata["collection"]`` and the summary.
+        bulk of a payload -- is only stitched when ``config.sections``
+        declares ``"run"``.  The collection audit (stop reason, runs saved,
+        final CI) rides ``result.metadata["collection"]`` and the summary.
         """
         if not self.finished:
             raise ValueError(
@@ -358,13 +352,9 @@ class ProfileSession:
             return self._result
         config = self._config
         assert self._series is not None
-        sections = PROFILE_SECTIONS
-        if config.result_mode == "slim":
-            sections = normalize_profile_sections(config.profile_sections)
-        build = tuple(
-            name for name in PROFILE_SECTIONS
-            if name in ("ssp", "sse") or name in sections
-        )
+        build = ("ssp", "sse")
+        if "run" in normalize_sections(config.sections):
+            build += ("run",)
         built = self._stitcher.section_profiles(
             self._series,
             build,
@@ -375,7 +365,7 @@ class ProfileSession:
         )
         result_metadata = dict(self._base_metadata)
         result_metadata["collection"] = self.collection_audit()
-        result = FinGraVResult(
+        self._result = FinGraVResult.assemble(
             kernel_name=self._backend.kernel_name(self._kernel),
             execution_time_s=self._execution_time,
             guidance=self._guidance,
@@ -383,16 +373,10 @@ class ProfileSession:
             calibration=self._calibration,
             runs=self._records,
             binning=self._binning,
-            ssp_profile=built["ssp"],
-            sse_profile=built["sse"],
-            run_profile=built.get("run"),
+            profiles=built,
             config=config,
             metadata=result_metadata,
         )
-        if config.result_mode == "slim":
-            self._result = result.slim(sections)
-        else:
-            self._result = result
         return self._result
 
     def collection_audit(self) -> dict[str, object]:

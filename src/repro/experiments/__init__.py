@@ -8,102 +8,74 @@ claims.  Drivers register their per-kernel profiling work as
 across a process pool (``python -m repro.experiments.sweep --all``); the
 matching benchmark under ``benchmarks/`` calls the driver and prints the
 regenerated table/figure data.
+
+The exported names load on first access (PEP 562), so importing one driver
+or running ``python -m repro.experiments.sweep`` does not import the rest.
 """
 
-from .ablations import (
-    BinningMarginSweep,
-    CoarseCoverageResult,
-    DriftSensitivityResult,
-    SamplerAblationResult,
-    run_binning_margin_sweep,
-    run_coarse_coverage,
-    run_drift_sensitivity,
-    run_sampler_ablation,
-)
-from .common import (
-    FAST_SCALE,
-    PAPER_SCALE,
-    TINY_SCALE,
-    ExperimentScale,
-    default_scale,
-    make_backend,
-    make_profiler,
-    power_sample_period_s,
-    scale_by_name,
-)
-from .fig5 import Fig5Result, run_fig5
-from .fig6 import Fig6Result, run_fig6
-from .fig7 import Fig7Result, run_fig7
-from .fig8 import Fig8Result, run_fig8
-from .fig9 import Fig9Result, run_fig9
-from .fig10 import Fig10Result, run_fig10
-from .sweep import (
-    EXPERIMENT_NAMES,
-    JobFailure,
-    KernelSpec,
-    ProfileJob,
-    SweepConfig,
-    SweepJobError,
-    SweepManifest,
-    SweepRunner,
-    configured_adaptive,
-    configured_result_mode,
-    default_runner,
-    execute_job,
-    kernel_spec,
-    run_jobs,
-    run_sweep,
-)
-from .table1 import Table1Result, run_table1
-from .table2 import Table2Result, run_table2
+import importlib
 
-__all__ = [
-    "BinningMarginSweep",
-    "CoarseCoverageResult",
-    "DriftSensitivityResult",
-    "SamplerAblationResult",
-    "run_binning_margin_sweep",
-    "run_coarse_coverage",
-    "run_drift_sensitivity",
-    "run_sampler_ablation",
-    "FAST_SCALE",
-    "PAPER_SCALE",
-    "TINY_SCALE",
-    "ExperimentScale",
-    "default_scale",
-    "scale_by_name",
-    "power_sample_period_s",
-    "make_backend",
-    "make_profiler",
-    "Fig5Result",
-    "run_fig5",
-    "Fig6Result",
-    "run_fig6",
-    "Fig7Result",
-    "run_fig7",
-    "Fig8Result",
-    "run_fig8",
-    "Fig9Result",
-    "run_fig9",
-    "Fig10Result",
-    "run_fig10",
-    "EXPERIMENT_NAMES",
-    "JobFailure",
-    "KernelSpec",
-    "ProfileJob",
-    "SweepConfig",
-    "SweepJobError",
-    "SweepManifest",
-    "SweepRunner",
-    "configured_adaptive",
-    "configured_result_mode",
-    "default_runner",
-    "execute_job",
-    "kernel_spec",
-    "run_jobs",
-    "run_sweep",
-    "Table1Result",
-    "run_table1",
-    "Table2Result",
-    "run_table2",
-]
+#: Submodule -> the names this package re-exports from it.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "ablations": (
+        "BinningMarginSweep",
+        "CoarseCoverageResult",
+        "DriftSensitivityResult",
+        "SamplerAblationResult",
+        "run_binning_margin_sweep",
+        "run_coarse_coverage",
+        "run_drift_sensitivity",
+        "run_sampler_ablation",
+    ),
+    "common": (
+        "FAST_SCALE",
+        "PAPER_SCALE",
+        "TINY_SCALE",
+        "ExperimentScale",
+        "default_scale",
+        "scale_by_name",
+        "power_sample_period_s",
+        "make_backend",
+        "make_profiler",
+    ),
+    "fig5": ("Fig5Result", "run_fig5"),
+    "fig6": ("Fig6Result", "run_fig6"),
+    "fig7": ("Fig7Result", "run_fig7"),
+    "fig8": ("Fig8Result", "run_fig8"),
+    "fig9": ("Fig9Result", "run_fig9"),
+    "fig10": ("Fig10Result", "run_fig10"),
+    "sweep": (
+        "EXPERIMENT_NAMES",
+        "JobFailure",
+        "KernelSpec",
+        "ProfileJob",
+        "SweepConfig",
+        "SweepJobError",
+        "SweepManifest",
+        "SweepRunner",
+        "configured_adaptive",
+        "default_runner",
+        "execute_job",
+        "kernel_spec",
+        "run_jobs",
+        "run_sweep",
+    ),
+    "table1": ("Table1Result", "run_table1"),
+    "table2": ("Table2Result", "run_table2"),
+}
+
+_SOURCE: dict[str, str] = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -32,7 +32,7 @@ from ..core.timesync import extract_lois, synchronizer_for_run
 from ..gpu.spec import ClockSpec, GPUSpec, mi300x_spec
 from ..kernels.workloads import cb_gemm
 from .common import ExperimentScale, default_scale, make_backend, make_profiler
-from .sweep import ProfileJob, SweepRunner, configured_adaptive, configured_result_mode, kernel_spec, run_jobs
+from .sweep import ProfileJob, SweepRunner, configured_adaptive, kernel_spec, run_jobs
 
 
 # --------------------------------------------------------------------------- #
@@ -67,16 +67,14 @@ def sampler_ablation_jobs(
     runs = runs or scale.gemm_runs
     spec = kernel_spec("cb_gemm", 2048)
     # The ablation compares SSE-vs-SSP errors, answered by the summary
-    # snapshot: ship slim with no profile sections at all.
-    result_mode = configured_result_mode()
+    # snapshot: ship no sections at all.
     return [
         ProfileJob(
             job_id="ablations/sampler/averaging",
             kernel=spec, runs=runs,
             backend_seed=seed, profiler_seed=seed + 100,
             sampler="averaging",
-            result_mode=result_mode,
-            profile_sections=(),
+            sections=(),
             adaptive=configured_adaptive(),
         ),
         ProfileJob(
@@ -84,8 +82,7 @@ def sampler_ablation_jobs(
             kernel=spec, runs=runs,
             backend_seed=seed + 1, profiler_seed=seed + 101,
             sampler="instantaneous",
-            result_mode=result_mode,
-            profile_sections=(),
+            sections=(),
             adaptive=configured_adaptive(),
         ),
     ]
@@ -213,8 +210,7 @@ def binning_margin_jobs(
             backend_seed=seed,
             profiler_seed=seed + 100,
             # The margin sweep re-bins and re-stitches the raw run records,
-            # so this job must ship the full result (never slim).
-            result_mode="full",
+            # so this job ships every section, "runs" included.
             adaptive=configured_adaptive(),
         )
     ]

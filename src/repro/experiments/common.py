@@ -76,12 +76,14 @@ def default_scale() -> ExperimentScale:
     """Scale selected via the ``FINGRAV_SCALE`` environment variable.
 
     ``FINGRAV_SCALE`` may name any known scale (``tiny`` / ``fast`` /
-    ``paper``); anything else (including unset) selects the fast budgets.
+    ``paper``); unset or empty selects the fast budgets, and any other value
+    raises ``ValueError``.
     """
+    name = os.environ.get("FINGRAV_SCALE", "").strip()
     try:
-        return scale_by_name(os.environ.get("FINGRAV_SCALE", "fast"))
-    except ValueError:
-        return FAST_SCALE
+        return scale_by_name(name) if name else FAST_SCALE
+    except ValueError as error:
+        raise ValueError(f"FINGRAV_SCALE: {error}") from None
 
 
 def scale_by_name(name: str) -> ExperimentScale:
@@ -143,21 +145,17 @@ def make_profiler(
     apply_binning: bool = True,
     differentiate: bool = True,
     max_additional_runs: int = 200,
-    result_mode: str = "full",
-    profile_sections: tuple[str, ...] | None = None,
+    sections: tuple[str, ...] | None = None,
     adaptive: bool = False,
 ) -> FinGraVProfiler:
     """A FinGraV profiler with the standard configuration.
 
-    ``result_mode="slim"`` makes ``profile()`` return the slim result
-    projection (bit-identical profiles, no raw runs) -- what the sweep engine
-    ships through worker IPC and its on-disk cache for drivers that never
-    re-stitch the raw runs.  ``profile_sections`` narrows a slim result to
-    the profile sections the driver actually consumes (summary-only drivers
-    declare ``()``); it is ignored in full mode.  ``adaptive`` enables
-    convergence-driven early stopping of run collection (the remaining
-    adaptive knobs stay at their ``ProfilerConfig`` defaults under the
-    sweep; see ``docs/profiler.md``).
+    ``sections`` declares which result sections ``profile()`` returns (any
+    subset of ``("ssp", "sse", "run", "runs")``; ``None`` keeps all four):
+    the sweep engine ships only those through worker IPC and its on-disk
+    cache.  ``adaptive`` enables convergence-driven early stopping of run
+    collection (the remaining adaptive knobs stay at their
+    ``ProfilerConfig`` defaults under the sweep; see ``docs/profiler.md``).
     """
     config = ProfilerConfig(
         seed=seed,
@@ -165,8 +163,7 @@ def make_profiler(
         apply_binning=apply_binning,
         differentiate=differentiate,
         max_additional_runs=max_additional_runs,
-        result_mode=result_mode,
-        profile_sections=profile_sections,
+        sections=sections,
         adaptive=adaptive,
     )
     return FinGraVProfiler(backend, config)

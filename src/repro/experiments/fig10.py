@@ -21,7 +21,7 @@ from ..core.profiler import FinGraVResult
 from ..kernels.collectives import TransferRegime
 from ..kernels.workloads import cb_gemm, collective_suite
 from .common import ExperimentScale, default_scale
-from .sweep import ProfileJob, SweepRunner, configured_adaptive, configured_result_mode, kernel_spec, run_jobs
+from .sweep import ProfileJob, SweepRunner, configured_adaptive, kernel_spec, run_jobs
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def fig10_jobs(
     jobs: list[ProfileJob] = []
     # Assembly reads the SSP component summaries (the SSE-vs-SSP error comes
     # from the summary snapshot), never the raw runs or the other profiles:
-    # ship slim, SSP-only.
-    result_mode = configured_result_mode()
+    # ship SSP only.
     for offset, kernel in enumerate(collective_suite()):
         jobs.append(
             ProfileJob(
@@ -108,8 +107,7 @@ def fig10_jobs(
                 runs=collective_runs,
                 backend_seed=seed + offset,
                 profiler_seed=seed + 100 + offset,
-                result_mode=result_mode,
-                profile_sections=("ssp",),
+                sections=("ssp",),
                 adaptive=configured_adaptive(),
             )
         )
@@ -121,8 +119,7 @@ def fig10_jobs(
             runs=gemm_runs,
             backend_seed=seed + len(jobs),
             profiler_seed=seed + 100 + len(jobs),
-            result_mode=result_mode,
-            profile_sections=("ssp",),
+            sections=("ssp",),
             adaptive=configured_adaptive(),
         )
     )

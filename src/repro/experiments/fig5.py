@@ -104,8 +104,7 @@ def fig5_jobs(
             backend_seed=seed,
             profiler_seed=seed + 100,
             # Figure 5 re-stitches the raw run records through baseline
-            # stitchers, so this job must ship the full result (never slim).
-            result_mode="full",
+            # stitchers, so this job ships every section, "runs" included.
             adaptive=configured_adaptive(),
         )
     ]

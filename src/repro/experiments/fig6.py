@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.profiler import FinGraVResult
 from .common import ExperimentScale, default_scale
-from .sweep import ProfileJob, SweepRunner, configured_adaptive, configured_result_mode, kernel_spec, run_jobs
+from .sweep import ProfileJob, SweepRunner, configured_adaptive, kernel_spec, run_jobs
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,8 @@ def fig6_jobs(
             backend_seed=seed,
             profiler_seed=seed + 100,
             # Assembly bins the whole-run profile and reads the SSE/SSP means
-            # and error from the summary snapshot: ship slim, run-only.
-            result_mode=configured_result_mode(),
-            profile_sections=("run",),
+            # and error from the summary snapshot: ship the run profile only.
+            sections=("run",),
             adaptive=configured_adaptive(),
         )
     ]
@@ -140,7 +139,7 @@ def fig6_from_results(
     """Assemble the Figure-6 result from the executed sweep job."""
     del scale, seed
     result: FinGraVResult = results["fig6/CB-8K-GEMM"]
-    # The SSE/SSP means and error come from the summary snapshot so a slim
+    # The SSE/SSP means and error come from the summary snapshot, so a
     # run-only result (no SSP/SSE profiles shipped) assembles identically.
     summary = result.summary()
     return Fig6Result(

@@ -25,7 +25,7 @@ from ..core.profiler import FinGraVResult
 from ..gpu.spec import mi300x_spec
 from ..kernels.workloads import GEMM_SIZES, cb_gemms, mb_gemvs
 from .common import ExperimentScale, default_scale, power_sample_period_s
-from .sweep import ProfileJob, SweepRunner, configured_adaptive, configured_result_mode, kernel_spec, run_jobs
+from .sweep import ProfileJob, SweepRunner, configured_adaptive, kernel_spec, run_jobs
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ def fig7_jobs(
     offset = 0
     # Assembly only reads the SSP/SSE profiles (component comparison + error
     # summary) and scalar summaries, never the raw runs or the whole-run
-    # profile: ship slim, run profile dropped (and never stitched).
-    result_mode = configured_result_mode()
+    # profile: ship SSP and SSE only (the run profile is never stitched).
     for key, runs in (("cb_gemm", gemm_runs), ("mb_gemv", gemv_runs)):
         for size in GEMM_SIZES:
             spec = kernel_spec(key, size)
@@ -120,8 +119,7 @@ def fig7_jobs(
                     runs=runs,
                     backend_seed=seed + offset,
                     profiler_seed=seed + 100 + offset,
-                    result_mode=result_mode,
-                    profile_sections=("ssp", "sse"),
+                    sections=("ssp", "sse"),
                     adaptive=configured_adaptive(),
                 )
             )

@@ -17,7 +17,7 @@ import numpy as np
 from ..core.profiler import FinGraVResult
 from .common import ExperimentScale, default_scale
 from .fig6 import RunShapeSeries, _binned_series
-from .sweep import ProfileJob, SweepRunner, configured_adaptive, configured_result_mode, kernel_spec, run_jobs
+from .sweep import ProfileJob, SweepRunner, configured_adaptive, kernel_spec, run_jobs
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,8 @@ def fig8_jobs(
             backend_seed=seed,
             profiler_seed=seed + 100,
             # Assembly bins the whole-run profile and reads the SSE/SSP means
-            # and error from the summary snapshot: ship slim, run-only.
-            result_mode=configured_result_mode(),
-            profile_sections=("run",),
+            # and error from the summary snapshot: ship the run profile only.
+            sections=("run",),
             adaptive=configured_adaptive(),
         )
     ]
@@ -98,7 +97,7 @@ def fig8_from_results(
     """Assemble the Figure-8 result from the executed sweep job."""
     del scale, seed
     result: FinGraVResult = results["fig8/CB-2K-GEMM"]
-    # The SSE/SSP means and error come from the summary snapshot so a slim
+    # The SSE/SSP means and error come from the summary snapshot, so a
     # run-only result (no SSP/SSE profiles shipped) assembles identically.
     summary = result.summary()
     return Fig8Result(

@@ -23,7 +23,7 @@ from ..analysis.interleaving import InterleavedMeasurement
 from ..core.profile import FineGrainProfile
 from ..core.profiler import FinGraVResult
 from .common import ExperimentScale, default_scale
-from .sweep import KernelSpec, ProfileJob, SweepRunner, configured_adaptive, configured_result_mode, kernel_spec, run_jobs
+from .sweep import KernelSpec, ProfileJob, SweepRunner, configured_adaptive, kernel_spec, run_jobs
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,9 @@ def fig9_jobs(
     scale = scale or default_scale()
     runs = runs or scale.interleaved_runs
     jobs: list[ProfileJob] = []
-    # Assembly reads only the isolated SSP profiles: ship slim, SSP-only
-    # results (the interleaved scenario jobs return a bare FineGrainProfile
+    # Assembly reads only the isolated SSP profiles: ship SSP-only results
+    # (the interleaved scenario jobs return a bare FineGrainProfile
     # regardless).
-    result_mode = configured_result_mode()
     for offset, (name, spec) in enumerate(_isolated_kernels()):
         kernel_runs = isolated_runs
         if kernel_runs is None:
@@ -135,8 +134,7 @@ def fig9_jobs(
                 runs=kernel_runs,
                 backend_seed=seed + offset,
                 profiler_seed=seed + 100 + offset,
-                result_mode=result_mode,
-                profile_sections=("ssp",),
+                sections=("ssp",),
                 adaptive=configured_adaptive(),
             )
         )

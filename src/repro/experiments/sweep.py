@@ -10,19 +10,17 @@ jobs out across a process pool (``workers > 1``), memoises finished jobs in a
 content-keyed on-disk cache, and returns results keyed by job id, which makes
 assembly deterministic regardless of worker count or completion order.
 
-Jobs default to ``result_mode="full"`` (a complete
-:class:`~repro.core.profiler.FinGraVResult`, raw runs included), but every
-driver whose ``*_from_results`` assembly never re-stitches the raw runs
-registers its jobs with ``result_mode="slim"``: the worker then ships a
-:class:`~repro.core.profiler.SlimFinGraVResult` -- bit-identical profiles
-plus the summary/golden-run metadata -- through IPC and the on-disk cache,
-cutting the pickled payload several-fold.  Slim jobs additionally declare
-``profile_sections``: the subset of ``("ssp", "sse", "run")`` profiles the
-driver's assembly actually reads (summary-only drivers such as table1
-declare ``()``), so undeclared sections are never shipped -- and the
+Each job declares the result ``sections`` its driver's ``*_from_results``
+assembly reads: any subset of ``("ssp", "sse", "run", "runs")``, where
+``"runs"`` keeps the raw run records and their binning.  The worker ships a
+:class:`~repro.core.profiler.FinGraVResult` holding just those sections
+(bit-identical profiles) plus the run bookkeeping and summary snapshot
+through IPC and the on-disk cache, which cuts the pickled payload
+several-fold.  Summary-only drivers such as table1 declare ``()``, and the
 whole-run profile, the bulk of a long kernel's payload, is never even
-stitched when no driver asks for it.  Drivers that *do* re-stitch
-(Figure 5, the binning-margin ablation) pin ``result_mode="full"``.
+stitched when no driver asks for it.  Drivers that re-stitch the raw runs
+(Figure 5, the binning-margin ablation) keep the default ``None`` (all four
+sections).
 
 On-disk cache entries are pickles in which every large
 :class:`~repro.core.profile.ProfileColumns` (``>= spill_points`` LOIs) is
@@ -71,12 +69,12 @@ Command line::
 Environment knobs picked up by :func:`default_runner` (used whenever a driver
 is called without an explicit runner): ``FINGRAV_WORKERS`` (worker count,
 default 1) and ``FINGRAV_PROFILE_CACHE`` (cache directory, default disabled).
-``FINGRAV_RESULT_MODE`` (``slim`` / ``full``) overrides every driver's default
-result mode at job-construction time -- it participates in the cache key, so
-switching modes never replays a stale payload shape.  The fault-model knobs
-(``FINGRAV_JOB_TIMEOUT``, ``FINGRAV_MAX_RETRIES``, ``FINGRAV_RETRY_BACKOFF``)
-are read by :meth:`SweepConfig.from_env`, and ``FINGRAV_FAULT_PLAN`` names a
-fault-injection plan honoured by the dispatcher and its workers.
+``FINGRAV_ADAPTIVE`` switches every driver's jobs to adaptive collection at
+job-construction time (it participates in the cache key).  The fault-model
+knobs (``FINGRAV_JOB_TIMEOUT``, ``FINGRAV_MAX_RETRIES``,
+``FINGRAV_RETRY_BACKOFF``) are read by :meth:`SweepConfig.from_env`, and
+``FINGRAV_FAULT_PLAN`` names a fault-injection plan honoured by the
+dispatcher and its workers.
 """
 
 from __future__ import annotations
@@ -112,10 +110,10 @@ from .common import (
 )
 
 #: Bump when job execution semantics change, to invalidate on-disk caches.
-#: Schema 4: adaptive-collection-aware jobs (``ProfileJob.adaptive`` enters
-#: the key; results carry the collection audit in their metadata/summary).
-#: Schema-3 entries recompute cleanly.
-_CACHE_SCHEMA = 4
+#: Schema 5: one result class; ``ProfileJob.sections`` (with ``"runs"`` as a
+#: section) replaces the two result modes.  Schema-4 entries recompute
+#: cleanly.
+_CACHE_SCHEMA = 5
 
 #: Staging files older than this are considered orphaned by a dead writer.
 _STALE_STAGING_S = 3600.0
@@ -195,13 +193,10 @@ class ProfileJob:
     interleave_seed: int | None = None
     min_lois: int = 5
     max_runs: int | None = None
-    #: "full" ships the complete FinGraVResult; "slim" ships the raw-run-free
-    #: projection (see the module docstring).  Part of the cache key.
-    result_mode: str = "full"
-    #: Profile sections a slim result retains -- the subset of
-    #: ``("ssp", "sse", "run")`` the driver's assembly reads; ``None`` keeps
-    #: all three.  Ignored in full mode.  Part of the cache key.
-    profile_sections: tuple[str, ...] | None = None
+    #: Result sections to ship -- the subset of ``("ssp", "sse", "run",
+    #: "runs")`` the driver's assembly reads; ``None`` ships all four (see
+    #: the module docstring).  Part of the cache key.
+    sections: tuple[str, ...] | None = None
     #: Collect runs adaptively: stop early once the golden-run SSP/SSE
     #: confidence intervals converge (see ``docs/profiler.md``).  ``False``
     #: is the paper's fixed-count collection.  Part of the cache key; the
@@ -211,28 +206,24 @@ class ProfileJob:
     adaptive: bool = False
 
 
-def configured_result_mode(default: str = "slim") -> str:
-    """The result mode a driver should register its jobs with.
-
-    ``FINGRAV_RESULT_MODE`` (``slim`` / ``full``) overrides the driver's
-    default; anything else (including unset) keeps it.
-    """
-    override = os.environ.get("FINGRAV_RESULT_MODE", "").strip().lower()
-    return override if override in ("slim", "full") else default
-
-
 def configured_adaptive(default: bool = False) -> bool:
     """Whether a driver should register its jobs with adaptive collection.
 
-    ``FINGRAV_ADAPTIVE`` (``1``/``true``/``on`` vs ``0``/``false``/``off``)
-    overrides the driver's default; anything else (including unset) keeps it.
+    ``FINGRAV_ADAPTIVE`` (``1``/``true``/``on``/``yes`` vs
+    ``0``/``false``/``off``/``no``) overrides the driver's default; unset or
+    empty keeps it, and any other value raises ``ValueError``.
     """
     override = os.environ.get("FINGRAV_ADAPTIVE", "").strip().lower()
+    if not override:
+        return default
     if override in ("1", "true", "on", "yes"):
         return True
     if override in ("0", "false", "off", "no"):
         return False
-    return default
+    raise ValueError(
+        f"unknown FINGRAV_ADAPTIVE {override!r}: use one of "
+        "1/true/on/yes or 0/false/off/no"
+    )
 
 
 def execute_job(job: ProfileJob) -> object:
@@ -246,12 +237,8 @@ def execute_job(job: ProfileJob) -> object:
         apply_binning=job.apply_binning,
         differentiate=job.differentiate,
         max_additional_runs=job.max_additional_runs,
-        # Interleaved jobs return a bare profile; the study's own isolated
-        # profiling stays full regardless of the job's shipping mode, and its
-        # run counting is LOI-driven rather than convergence-driven.
-        result_mode=job.result_mode if job.interleave_seed is None else "full",
-        profile_sections=job.profile_sections,
-        adaptive=job.adaptive if job.interleave_seed is None else False,
+        sections=job.sections,
+        adaptive=job.adaptive,
     )
     if job.interleave_seed is None:
         return profiler.profile(kernel, runs=job.runs)
@@ -636,7 +623,7 @@ MANIFEST_SCHEMA = 2
 def _collection_audit(outcome: object) -> dict | None:
     """The collection audit a result carries, if any (tolerant extractor).
 
-    Full and slim results both stamp ``metadata["collection"]`` (stop
+    Every profiling result stamps ``metadata["collection"]`` (stop
     reason, runs collected vs planned, final CI); bare profiles from
     interleaved jobs carry none.
     """
@@ -1589,8 +1576,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not requested:
         parser.error("nothing to run: pass --all or --experiments")
 
-    scale = scale_by_name(args.scale) if args.scale else default_scale()
     try:
+        scale = scale_by_name(args.scale) if args.scale else default_scale()
+        configured_adaptive()  # reject a FINGRAV_ADAPTIVE typo before any job runs
         if args.workers is not None:
             workers = _parse_workers(args.workers, "--workers")
         else:
@@ -1695,7 +1683,6 @@ __all__ = [
     "KernelSpec",
     "kernel_spec",
     "ProfileJob",
-    "configured_result_mode",
     "configured_adaptive",
     "execute_job",
     "job_key",

@@ -22,7 +22,7 @@ from typing import Mapping
 from ..core.guidance import GuidanceEntry, paper_guidance_table
 from ..core.profiler import FinGraVResult
 from .common import ExperimentScale, default_scale
-from .sweep import KernelSpec, ProfileJob, SweepRunner, configured_adaptive, configured_result_mode, kernel_spec, run_jobs
+from .sweep import KernelSpec, ProfileJob, SweepRunner, configured_adaptive, kernel_spec, run_jobs
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ _REPRESENTATIVES: tuple[tuple[str, KernelSpec], ...] = (
 
 
 def _measure_row(entry: GuidanceEntry, result: FinGraVResult) -> GuidanceRowMeasurement:
-    # executions_per_run is carried by both full and slim results, so the
-    # measurement never needs the raw run records.
+    # executions_per_run is carried by every result, so the measurement
+    # never needs the raw run records.
     qualifying = max(result.executions_per_run - result.plan.ssp_executions + 1, 1)
     return GuidanceRowMeasurement(
         entry=entry,
@@ -155,8 +155,7 @@ def table1_jobs(
     """One profile job per guidance range's representative kernel."""
     scale = scale or default_scale()
     # The measurements read scalar bookkeeping only (run counts, LOI counts,
-    # the plan): ship slim results retaining *no* profile sections at all.
-    result_mode = configured_result_mode()
+    # the plan): ship no sections at all.
     return [
         ProfileJob(
             job_id=f"table1/{tag}",
@@ -164,8 +163,7 @@ def table1_jobs(
             runs=runs or scale.gemm_runs,
             backend_seed=seed + offset,
             profiler_seed=seed + 100 + offset,
-            result_mode=result_mode,
-            profile_sections=(),
+            sections=(),
             adaptive=configured_adaptive(),
         )
         for offset, (tag, spec) in enumerate(_REPRESENTATIVES)

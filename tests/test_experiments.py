@@ -50,6 +50,17 @@ class TestScales:
         monkeypatch.setenv("FINGRAV_SCALE", "paper")
         assert default_scale().name == "paper"
 
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_empty_scale_keeps_default(self, monkeypatch, value):
+        monkeypatch.setenv("FINGRAV_SCALE", value)
+        assert default_scale().name == "fast"
+
+    @pytest.mark.parametrize("value", ["papr", "medium", "0"])
+    def test_unknown_scale_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("FINGRAV_SCALE", value)
+        with pytest.raises(ValueError, match="FINGRAV_SCALE.*fast.*paper.*tiny"):
+            default_scale()
+
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
             ExperimentScale("bad", 0, 1, 1, 1, 1, 1).validate()

@@ -364,7 +364,7 @@ class TestCacheSpill:
         # schema-3 key differs, so the old entry is simply never looked up.
         old_key_payload = dataclasses.asdict(SPILL_JOB)
         old_key_payload.pop("job_id")
-        old_key_payload.pop("profile_sections")  # field did not exist then
+        old_key_payload.pop("sections")  # field did not exist then
         import hashlib
 
         old_digest = hashlib.sha256(
@@ -379,5 +379,5 @@ class TestCacheSpill:
 
     def test_profile_sections_part_of_cache_key(self):
         assert job_key(SPILL_JOB) != job_key(
-            dataclasses.replace(SPILL_JOB, profile_sections=("ssp",))
+            dataclasses.replace(SPILL_JOB, sections=("ssp",))
         )

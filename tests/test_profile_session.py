@@ -21,11 +21,10 @@ from repro.analysis.errors import (
 from repro.core.binning import ExecutionTimeBinner
 from repro.core.differentiation import build_plan
 from repro.core.profiler import (
-    PROFILE_SECTIONS,
     FinGraVProfiler,
     FinGraVResult,
     ProfilerConfig,
-    normalize_profile_sections,
+    normalize_sections,
 )
 from repro.core.session import STOP_REASONS, ProfileSession
 from repro.core.stitching import ProfileStitcher
@@ -141,13 +140,9 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
 
     # Step 9: stitch the profiles.
     base_metadata = {"preceding": []}
-    sections = PROFILE_SECTIONS
-    if config.result_mode == "slim":
-        sections = normalize_profile_sections(config.profile_sections)
-    build = tuple(
-        name for name in PROFILE_SECTIONS
-        if name in ("ssp", "sse") or name in sections
-    )
+    build = ("ssp", "sse")
+    if "run" in normalize_sections(config.sections):
+        build += ("run",)
     built = stitcher.section_profiles(
         series,
         build,
@@ -156,7 +151,7 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
         min_execution_index=profiler._ssp_start_index(plan),
         metadata=base_metadata,
     )
-    result = FinGraVResult(
+    return FinGraVResult.assemble(
         kernel_name=backend.kernel_name(kernel),
         execution_time_s=execution_time,
         guidance=guidance,
@@ -164,15 +159,10 @@ def legacy_profile(profiler: FinGraVProfiler, kernel, runs=None):
         calibration=calibration,
         runs=tuple(records),
         binning=binning,
-        ssp_profile=built["ssp"],
-        sse_profile=built["sse"],
-        run_profile=built.get("run"),
+        profiles=built,
         config=config,
         metadata=base_metadata,
     )
-    if config.result_mode == "slim":
-        return result.slim(sections)
-    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -195,24 +185,31 @@ def assert_profiles_equal(a, b) -> None:
 
 def assert_bit_identical(new, old) -> None:
     """``new`` (session path) must match ``old`` (legacy path) byte for byte,
-    except for the purely additive ``collection`` audit in the metadata."""
+    except for the purely additive ``collection`` audit in the metadata and
+    summary.  Only the sections both results hold are compared."""
+    assert new.sections == old.sections
     assert new.kernel_name == old.kernel_name
     assert new.execution_time_s == old.execution_time_s
     assert new.num_runs == old.num_runs
     assert new.golden_run_indices == old.golden_run_indices
-    for attribute in ("ssp_profile", "sse_profile"):
-        assert_profiles_equal(getattr(new, attribute), getattr(old, attribute))
-    if old.run_profile is not None:
-        assert_profiles_equal(new.run_profile, old.run_profile)
-    else:
-        assert new.run_profile is None
-    for new_run, old_run in zip(new.runs, old.runs):
-        assert new_run.run_index == old_run.run_index
-        assert new_run.pre_delay_s == old_run.pre_delay_s
-        assert new_run.ssp_execution.duration_s == old_run.ssp_execution.duration_s
+    assert new.executions_per_run == old.executions_per_run
+    assert new.ssp_loi_count == old.ssp_loi_count
+    for section in ("ssp", "sse", "run"):
+        if section in new.sections:
+            attribute = f"{section}_profile"
+            assert_profiles_equal(getattr(new, attribute), getattr(old, attribute))
+    if "runs" in new.sections:
+        assert len(new.runs) == len(old.runs)
+        for new_run, old_run in zip(new.runs, old.runs):
+            assert new_run.run_index == old_run.run_index
+            assert new_run.pre_delay_s == old_run.pre_delay_s
+            assert new_run.ssp_execution.duration_s == old_run.ssp_execution.duration_s
     metadata = dict(new.metadata)
     collection = metadata.pop("collection")
     assert metadata == dict(old.metadata)
+    summary = new.summary()
+    assert summary.pop("collection") == collection
+    assert summary == old.summary()
     assert collection["adaptive"] is False
     assert collection["runs_saved"] == 0
 
@@ -241,8 +238,9 @@ SCENARIOS = {
     # The per-slice reference device engine under the whole session.
     "reference-engine": dict(kernel_size=2048, backend_seed=24, engine="reference",
                              config=dict(seed=224, max_additional_runs=80), runs=20),
+    # Every profile section but no raw runs.
     "slim": dict(kernel_size=2048, backend_seed=25,
-                 config=dict(seed=225, result_mode="slim",
+                 config=dict(seed=225, sections=("ssp", "sse", "run"),
                              max_additional_runs=80), runs=20),
 }
 
@@ -263,18 +261,7 @@ class TestFixedModeBitIdentity:
         engine = SCENARIOS[name].get("engine")
         old = legacy_profile(make_profiler(backend_seed, engine, **config), kernel, runs=runs)
         new = make_profiler(backend_seed, engine, **config).profile(kernel, runs=runs)
-        if SCENARIOS[name]["config"].get("result_mode") == "slim":
-            # Slim results drop the raw runs; compare the retained payload.
-            assert new.kernel_name == old.kernel_name
-            assert new.num_runs == old.num_runs
-            assert new.golden_run_indices == old.golden_run_indices
-            for section in new.sections:
-                assert_profiles_equal(new.profiles[section], old.profiles[section])
-            summary = dict(new.summary_data)
-            assert summary.pop("collection")["adaptive"] is False
-            assert summary == dict(old.summary_data)
-        else:
-            assert_bit_identical(new, old)
+        assert_bit_identical(new, old)
 
     def test_session_final_snapshot_matches_result(self):
         kernel, backend_seed, config, runs = build_scenario("cb2k")

@@ -258,11 +258,10 @@ class TestJobKeyHardening:
         assert job_key(job) == expected
 
     def test_key_digest_pinned(self):
-        # Byte-identity guard: this exact digest is what schema-4 warm caches
+        # Byte-identity guard: this exact digest is what schema-5 warm caches
         # hold for this job.  It may only change with a _CACHE_SCHEMA bump.
         assert job_key(self.make_job()) == (
-            "204e975937008f46a7cf292abad4dbe33626d42c8693813a681eaaa5"
-            "e0148d9f"
+            "262494653bf021076bab26c32d8e9f2333d6ba34cf4baaf15447e4d53a702baf"
         )
 
     def test_key_ignores_job_id(self):
@@ -284,7 +283,7 @@ class TestJobKeyHardening:
         job = self.make_job(
             kernel=kernel_spec("square_gemm", 6144, name="CB-6K-GEMM"),
             preceding=((kernel_spec("cb_gemm", 2048), 60),),
-            profile_sections=("ssp",),
+            sections=("ssp",),
         )
         assert len(job_key(job)) == 64
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 
@@ -16,6 +18,7 @@ from repro.experiments.sweep import (
     ProfileJob,
     SweepJobError,
     SweepRunner,
+    configured_adaptive,
     execute_job,
     job_key,
     kernel_spec,
@@ -369,6 +372,53 @@ class TestRunSweep:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(["fig99"])
+
+    def test_module_entry_point_imports_cleanly(self):
+        # The package must not import the sweep module before runpy runs it
+        # as __main__ (runpy warns when it does).
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments.sweep", "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+
+class TestConfiguredAdaptive:
+    @pytest.mark.parametrize("value", ["1", "true", "ON", " yes "])
+    def test_true_spellings(self, monkeypatch, value):
+        monkeypatch.setenv("FINGRAV_ADAPTIVE", value)
+        assert configured_adaptive() is True
+
+    @pytest.mark.parametrize("value", ["0", "false", "Off", "no"])
+    def test_false_spellings(self, monkeypatch, value):
+        monkeypatch.setenv("FINGRAV_ADAPTIVE", value)
+        assert configured_adaptive(default=True) is False
+
+    @pytest.mark.parametrize("value", [None, "", "   "])
+    def test_unset_or_empty_keeps_default(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("FINGRAV_ADAPTIVE", raising=False)
+        else:
+            monkeypatch.setenv("FINGRAV_ADAPTIVE", value)
+        assert configured_adaptive() is False
+        assert configured_adaptive(default=True) is True
+
+    @pytest.mark.parametrize("value", ["ture", "2", "enabled"])
+    def test_unknown_value_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("FINGRAV_ADAPTIVE", value)
+        with pytest.raises(ValueError, match="FINGRAV_ADAPTIVE.*true.*false"):
+            configured_adaptive()
+
+    def test_cli_rejects_typo_before_running(self, monkeypatch, capsys):
+        monkeypatch.setenv("FINGRAV_ADAPTIVE", "ture")
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_module.main(["--experiments", "table1", "--scale", "tiny"])
+        assert exit_info.value.code == 2
+        assert "FINGRAV_ADAPTIVE" in capsys.readouterr().err
 
 
 class TestFig9ScenarioTable:
