@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -184,10 +183,10 @@ class _LazyRecordView(SequenceABC):
 class ExecutionTimings(_LazyRecordView):
     """Columnar, tuple-compatible view over host-observed execution timings.
 
-    The compiled-engine backend stages each launch sequence's start/end times in an
-    :class:`ExecutionArena` instead of constructing one frozen
-    :class:`ExecutionTiming` per execution; run records then adopt the arena's
-    columns through this view.  It behaves exactly like the tuple of
+    The compiled-engine backend gets a run's host-observed start/end times
+    as arrays from one kernel call instead of constructing one frozen
+    :class:`ExecutionTiming` per execution; run records adopt those columns
+    through this view.  It behaves exactly like the tuple of
     :class:`ExecutionTiming` objects the reference path stores -- same length,
     elements, iteration order and equality -- but the objects are materialised
     lazily, while columnar consumers read ``indices`` / ``starts_s`` /
@@ -308,78 +307,6 @@ class PowerReadings(_LazyRecordView):
 
     def __repr__(self) -> str:
         return f"PowerReadings(n={len(self)}, window_s={self.window_s})"
-
-
-class ExecutionArena:
-    """Reusable columnar staging area for one record field's execution timings.
-
-    The compiled launch path appends each execution's ``(start, end)``
-    floats into the arena's flat buffers -- one block descriptor per launch
-    sequence carries the kernel name and the contiguous index range -- and
-    :meth:`take` snapshots the staged block(s) as an
-    :class:`ExecutionTimings` view, resetting the arena for the next field.
-    One arena lives on the backend and is recycled across runs, so the
-    per-execution cost of a run collapses to two ``array.append`` calls.
-    """
-
-    __slots__ = ("_starts", "_ends", "_blocks")
-
-    def __init__(self) -> None:
-        self._starts = array("d")
-        self._ends = array("d")
-        self._blocks: list[tuple[str, int, int]] = []
-
-    def begin(self) -> None:
-        """Drop any staged executions (e.g. leftovers of an aborted run)."""
-        del self._starts[:]
-        del self._ends[:]
-        self._blocks.clear()
-
-    def stage(self, kernel_name: str, start_index: int, count: int):
-        """Open a block of ``count`` executions indexed from ``start_index``.
-
-        Returns the two bound append callables ``(append_start, append_end)``
-        the launch loop feeds; exactly ``count`` pairs must be appended.
-        """
-        self._blocks.append((kernel_name, start_index, count))
-        return self._starts.append, self._ends.append
-
-    def stage_filled(self, starts, ends) -> None:
-        """Bulk-fill the most recently staged block from float64 arrays.
-
-        The compiled launch path computes a whole sequence's observed
-        timings in one kernel call; this appends them in two buffer copies
-        instead of ``2 * count`` scalar appends.  Exactly the open block's
-        ``count`` values must be supplied (checked by :meth:`take`).
-        """
-        self._starts.frombytes(np.ascontiguousarray(starts, dtype=float).tobytes())
-        self._ends.frombytes(np.ascontiguousarray(ends, dtype=float).tobytes())
-
-    def take(self) -> "ExecutionTimings | tuple":
-        """Snapshot staged executions as a view; ``()`` when nothing staged."""
-        if not self._blocks:
-            return ()
-        staged = sum(count for _, _, count in self._blocks)
-        if staged != len(self._starts) or staged != len(self._ends):
-            raise ValueError(
-                f"arena staged {staged} executions but holds "
-                f"{len(self._starts)} starts / {len(self._ends)} ends"
-            )
-        names: list[str] = []
-        index_parts: list[np.ndarray] = []
-        for kernel_name, start_index, count in self._blocks:
-            names.extend([kernel_name] * count)
-            index_parts.append(
-                np.arange(start_index, start_index + count, dtype=np.int64)
-            )
-        view = ExecutionTimings(
-            indices=index_parts[0] if len(index_parts) == 1 else np.concatenate(index_parts),
-            starts_s=np.array(self._starts, dtype=float),
-            ends_s=np.array(self._ends, dtype=float),
-            kernel_names=names,
-        )
-        self.begin()
-        return view
 
 
 class ReadingColumns:
@@ -534,7 +461,7 @@ class RunRecord:
     ``readings`` / ``executions`` / ``preceding_executions`` hold either plain
     tuples of the record objects (the reference backend path) or the
     tuple-compatible columnar views :class:`PowerReadings` /
-    :class:`ExecutionTimings` (the compiled-engine arena path).  Both compare equal
+    :class:`ExecutionTimings` (the compiled-engine fused path).  Both compare equal
     element-wise; the ``*_columns`` accessors adopt a view's arrays directly.
     """
 
@@ -670,7 +597,6 @@ __all__ = [
     "PowerReading",
     "PowerReadings",
     "ExecutionTimings",
-    "ExecutionArena",
     "ReadingColumns",
     "ExecutionColumns",
     "ExecutionRole",

@@ -464,13 +464,13 @@ int fc_execute(double *st, const double *pp, const double *desc,
                         ev, ev_cap, lens, out8);
 }
 
-int fc_sequence(double *st, const double *pp, const double *desc,
-                double *cache, long executions, const double *variates,
-                int has_rv, double run_factor, double execution_cv,
-                double latency_mean, double latency_jitter, double error_std,
-                double gap_s, int record, double *seg, long seg_cap,
-                double *ev, long ev_cap, long *lens, double *exec_rows,
-                double *cpu_starts, double *cpu_ends) {
+static int sequence_core(double *st, const double *pp, const double *desc,
+                         double *cache, long executions, const double *variates,
+                         int has_rv, double run_factor, double execution_cv,
+                         double latency_mean, double latency_jitter,
+                         double error_std, double gap_s, int record, double *seg,
+                         long seg_cap, double *ev, long ev_cap, long *lens,
+                         double *exec_rows, double *cpu_starts, double *cpu_ends) {
     double min_factor = pp[P_MINFACT];
     double retention = pp[P_RETENTION];
     double cold_executions = desc[3];
@@ -478,8 +478,6 @@ int fc_sequence(double *st, const double *pp, const double *desc,
     double *row8;
     long i, cursor = 0;
     int cold, rc;
-    lens[0] = 0;
-    lens[1] = 0;
     for (i = 0; i < executions; i++) {
         if (i > 0 && gap_s > 0.0) {
             rc = idle_core(st, pp, gap_s, record, seg, seg_cap, ev, ev_cap, lens);
@@ -506,6 +504,124 @@ int fc_sequence(double *st, const double *pp, const double *desc,
         cpu_starts[i] = cpu_start;
         cpu_ends[i] = cpu_end;
         cursor += 4;
+    }
+    return 0;
+}
+
+/* run_core; the k_run counter reset is folded in. */
+int fc_run(double *st, const double *pp, const double *descs, const long *seqs,
+           long n_seqs, const double *seqf, double *caches,
+           const double *variates, const double *spans, double latency_mean,
+           double latency_jitter, double error_std, double gap_s, double *seg,
+           long seg_cap, double *ev, long ev_cap, long *lens, double *exec_rows,
+           double *cpu_starts, double *cpu_ends, double *marks) {
+    long k, executions, offset = 0;
+    int rc;
+    lens[0] = 0;
+    lens[1] = 0;
+    rc = idle_core(st, pp, spans[0], 0, seg, seg_cap, ev, ev_cap, lens);
+    if (rc != 0) return rc;
+    marks[0] = st[S_NOW];
+    rc = idle_core(st, pp, spans[1], 1, seg, seg_cap, ev, ev_cap, lens);
+    if (rc != 0) return rc;
+    marks[1] = st[S_NOW];
+    rc = idle_core(st, pp, spans[2], 1, seg, seg_cap, ev, ev_cap, lens);
+    if (rc != 0) return rc;
+    marks[2] = st[S_NOW];
+    if (spans[3] > 0.0) {
+        rc = idle_core(st, pp, spans[3], 1, seg, seg_cap, ev, ev_cap, lens);
+        if (rc != 0) return rc;
+    }
+    for (k = 0; k < n_seqs; k++) {
+        executions = seqs[k * 3 + 2];
+        rc = sequence_core(st, pp, descs + seqs[k * 3 + 0],
+                           caches + 2 * seqs[k * 3 + 1], executions,
+                           variates + 4 * offset, 1, seqf[k * 2 + 0],
+                           seqf[k * 2 + 1], latency_mean, latency_jitter,
+                           error_std, gap_s, 1, seg, seg_cap, ev, ev_cap, lens,
+                           exec_rows + 8 * offset, cpu_starts + offset,
+                           cpu_ends + offset);
+        if (rc != 0) return rc;
+        offset += executions;
+    }
+    rc = idle_core(st, pp, spans[4], 1, seg, seg_cap, ev, ev_cap, lens);
+    if (rc != 0) return rc;
+    marks[3] = st[S_NOW];
+    return 0;
+}
+
+/* window_core: seg is (seg_n, 5) rows, cum (cum_cap, 3), out (times_n, 3). */
+int fc_window(const double *seg, long seg_n, const double *fill,
+              const double *times, long times_n, double period, double *cum,
+              long cum_cap, double *out) {
+    long n = seg_n, i, j, k, w, lo, hi, mid, n_bounds, last;
+    int c, side, sides = 1;
+    double t, bound, dt, p, e, first_bound = 0.0, last_bound = 0.0;
+    for (i = 0; i < n; i++)
+        if (!(seg[i * 5 + 1] >= seg[i * 5 + 0]) ||
+            (i > 0 && !(seg[i * 5 + 0] >= seg[(i - 1) * 5 + 1])))
+            return 2;
+    n_bounds = 2 * n > 1 ? 2 * n : 1;
+    last = n_bounds - 1;
+    if (n > 0) {
+        first_bound = seg[0];
+        last_bound = seg[(n - 1) * 5 + 1];
+    }
+    if (period > 0.0) {
+        sides = 2;
+        if (cum_cap < n_bounds) return 1;
+        for (c = 0; c < 3; c++) cum[c] = 0.0;
+        for (j = 0; j < last; j++) {
+            i = j / 2;
+            if (j % 2 == 0)
+                dt = seg[i * 5 + 1] - seg[i * 5 + 0];
+            else
+                dt = seg[(i + 1) * 5 + 0] - seg[i * 5 + 1];
+            for (c = 0; c < 3; c++) {
+                p = fill[c];
+                if (j % 2 == 0) p = seg[i * 5 + 2 + c];
+                cum[(j + 1) * 3 + c] = cum[j * 3 + c] + p * dt;
+            }
+        }
+    }
+    for (w = 0; w < times_n; w++) {
+        for (side = 0; side < sides; side++) {
+            t = times[w];
+            if (side == 0 && sides == 2) t = t - period;
+            lo = 0;
+            hi = n_bounds;
+            while (lo < hi) {
+                mid = (lo + hi) / 2;
+                bound = 0.0;
+                if (n > 0) bound = seg[(mid / 2) * 5 + mid % 2];
+                if (bound <= t)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            k = lo - 1;
+            for (c = 0; c < 3; c++) {
+                if (sides == 1) {
+                    if (k >= 0 && k < last && k % 2 == 0)
+                        out[w * 3 + c] = seg[(k / 2) * 5 + 2 + c];
+                    else
+                        out[w * 3 + c] = fill[c];
+                    continue;
+                }
+                if (k < 0)
+                    e = (t - first_bound) * fill[c];
+                else if (k >= last)
+                    e = cum[last * 3 + c] + (t - last_bound) * fill[c];
+                else if (k % 2 == 0)
+                    e = cum[k * 3 + c] + seg[(k / 2) * 5 + 2 + c] * (t - seg[(k / 2) * 5 + 0]);
+                else
+                    e = cum[k * 3 + c] + fill[c] * (t - seg[(k / 2) * 5 + 1]);
+                if (side == 0)
+                    out[w * 3 + c] = e;
+                else
+                    out[w * 3 + c] = (e - out[w * 3 + c]) / period;
+            }
+        }
     }
     return 0;
 }
@@ -579,8 +695,8 @@ def build_library(compiler: str | None = None) -> Path:
 class CcKernels:
     """ctypes binding presenting the uniform fastcore kernel API.
 
-    ``idle`` / ``execute`` / ``sequence`` take the same numpy-array arguments
-    as the ``_fastcore_kernels`` entry points (capacities are read off the
+    ``idle`` / ``execute`` / ``run`` / ``window`` take the same numpy-array
+    arguments as the ``_fastcore_kernels`` entry points (capacities are read off the
     array shapes here and passed explicitly to C).
 
     Arrays are passed as raw data pointers cached per array identity: the
@@ -608,12 +724,16 @@ class CcKernels:
             ptr, ptr, ptr, ctypes.c_double, ctypes.c_int, ctypes.c_int,
             ptr, ctypes.c_long, ptr, ctypes.c_long, ptr, ptr,
         ]
-        lib.fc_sequence.restype = ctypes.c_int
-        lib.fc_sequence.argtypes = [
-            ptr, ptr, ptr, ptr, ctypes.c_long, ptr, ctypes.c_int,
+        lib.fc_run.restype = ctypes.c_int
+        lib.fc_run.argtypes = [
+            ptr, ptr, ptr, ptr, ctypes.c_long, ptr, ptr, ptr, ptr,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ctypes.c_double, ctypes.c_double, ctypes.c_int,
-            ptr, ctypes.c_long, ptr, ctypes.c_long, ptr, ptr, ptr, ptr,
+            ptr, ctypes.c_long, ptr, ctypes.c_long, ptr, ptr, ptr, ptr, ptr,
+        ]
+        lib.fc_window.restype = ctypes.c_int
+        lib.fc_window.argtypes = [
+            ptr, ctypes.c_long, ptr, ptr, ctypes.c_long, ctypes.c_double,
+            ptr, ctypes.c_long, ptr,
         ]
         self._lib = lib
         self._ptrs: dict[int, tuple] = {}
@@ -622,13 +742,24 @@ class CcKernels:
         cached = self._ptrs.get(id(arr))  # statics: allow[identity-hash] -- pointer cache; the pinned array reference keeps the id stable
         if cached is not None and cached[0] is arr:
             return cached[1]
-        if not arr.flags["C_CONTIGUOUS"]:
-            raise ValueError("fastcore kernel arrays must be C-contiguous")
         if len(self._ptrs) > 64:  # scratch arrays from tests/self-checks
             self._ptrs.clear()
-        address = arr.ctypes.data
+        address = self._addr(arr)
         self._ptrs[id(arr)] = (arr, address)  # statics: allow[identity-hash] -- cached address is per-process by nature and never persisted
         return address
+
+    @staticmethod
+    def _addr(arr) -> int:
+        """Data address of an array, uncached (the per-call arrays of a run).
+
+        A ctypes view of the buffer is several times cheaper than
+        ``arr.ctypes``; empty and read-only arrays take the latter.
+        """
+        if not arr.flags.c_contiguous:
+            raise ValueError("fastcore kernel arrays must be C-contiguous")
+        if arr.nbytes and arr.flags.writeable:
+            return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+        return arr.ctypes.data
 
     def idle(self, st, pp, duration, record, seg, ev, lens):
         p = self._ptr
@@ -644,19 +775,27 @@ class CcKernels:
             p(seg), seg.shape[0], p(ev), ev.shape[0], p(lens), p(out8),
         )
 
-    def sequence(
-        self, st, pp, desc, cache, executions, variates, has_rv, run_factor,
-        execution_cv, latency_mean, latency_jitter, error_std, gap_s, record,
-        seg, ev, lens, exec_rows, cpu_starts, cpu_ends,
+    def run(
+        self, st, pp, descs, seqs, seqf, caches, variates, spans,
+        latency_mean, latency_jitter, error_std, gap_s,
+        seg, ev, lens, exec_rows, cpu_starts, cpu_ends, marks,
     ):
         p = self._ptr
-        return self._lib.fc_sequence(
-            p(st), p(pp), p(desc), p(cache), executions, p(variates), has_rv,
-            run_factor, execution_cv, latency_mean, latency_jitter, error_std,
-            gap_s, record, p(seg), seg.shape[0], p(ev), ev.shape[0], p(lens),
-            p(exec_rows), p(cpu_starts), p(cpu_ends),
+        a = self._addr
+        return self._lib.fc_run(
+            p(st), p(pp), a(descs), a(seqs), seqs.shape[0], a(seqf), a(caches),
+            a(variates), a(spans), latency_mean, latency_jitter, error_std, gap_s,
+            p(seg), seg.shape[0], p(ev), ev.shape[0], p(lens),
+            a(exec_rows), a(cpu_starts), a(cpu_ends), a(marks),
         )
 
+    def window(self, seg, fill, times, period, cum, out):
+        p = self._ptr
+        a = self._addr
+        return self._lib.fc_window(
+            a(seg), seg.shape[0], p(fill), a(times), times.shape[0], period,
+            p(cum), cum.shape[0], a(out),
+        )
 
 def load() -> CcKernels:
     """Build (if needed) and bind the C core."""

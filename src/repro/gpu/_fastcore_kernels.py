@@ -3,9 +3,10 @@
 This module is the *single transcription* of the device's measured hot loops
 -- the idle per-period loop, the execution slice loop, the firmware control
 boundary of :meth:`SimulatedGPU._maybe_step_firmware` /
-:meth:`PowerManagementFirmware.step`, and the closed-form thermal relaxation
-of :meth:`ThermalModel.relax_span` -- into a form Numba can ``@njit`` and a C
-compiler can mirror line for line (``_fastcore_cc``).  Every expression
+:meth:`PowerManagementFirmware.step`, the closed-form thermal relaxation of
+:meth:`ThermalModel.relax_span`, one instrumented run's whole timeline and
+the power logger's window averaging -- into a form Numba can ``@njit`` and a
+C compiler can mirror line for line (``_fastcore_cc``).  Every expression
 mirrors the corresponding statement of the per-slice reference engine (same
 operand order, same comparisons, same clamps); the only intended divergence
 is the once-per-span idle warmth relaxation, which agrees with the
@@ -42,10 +43,34 @@ Data layout (shared with the C core)
   (start, end, cold, mean_freq, energy, xcd_w, iod_w, hbm_w) -- the exact
   ``_ExecutionLog`` row layout.
 
-Kernels return 0 on success, 1 on segment-buffer overflow and 2 on
-event-buffer overflow; on overflow the caller restores its state snapshot,
-grows the buffer and retries (no RNG is consumed inside the kernels, so a
-retry is deterministic).
+One instrumented run (``run_core``) additionally takes:
+
+``descs`` -- float64[...] every sequence's ``desc`` profile, concatenated.
+``seqs`` -- int64[k, 3] per sequence (offset into ``descs``, cache slot,
+  executions), the main sequence last.
+``seqf`` -- float64[k, 2] per sequence (run factor, execution cv).
+``caches`` -- float64[slots, 2] one (consecutive_executions, last_end_s)
+  pair per distinct kernel name; sequences of one kernel share its slot.
+``variates`` -- float64[4 * executions] the pre-drawn standard normals of
+  all sequences, in sequence order.
+``spans`` -- float64[5] idle durations (park, pre-padding, timestamp round
+  trip, pre-delay, post-padding).
+``exec_rows`` -- float64[executions, 8] ``out8`` rows of every execution;
+  ``cpu_starts`` / ``cpu_ends`` -- float64[executions] host-observed times.
+``marks`` -- float64[4] output times (logger start, read issue, after the
+  read, logger stop).
+
+The logger windows (``window_core``) read ``seg`` as a recording's
+``(n, 5)`` rows, ``fill`` -- float64[3] idle power, ``times`` --
+float64[m] sample times, and write ``out`` -- float64[m, 3] powers, using
+``cum`` -- float64[>= max(2n, 1), 3] cumulative-energy scratch.
+
+The device kernels return 0 on success, 1 on segment-buffer overflow and 2
+on event-buffer overflow; on overflow the caller restores its state
+snapshot, grows the buffer and retries (no RNG is consumed inside the
+kernels, so a retry is deterministic).  ``window_core`` returns 1 when
+``cum`` is too small (grow and retry) and 2 for unsorted or overlapping
+segments.
 """
 
 from __future__ import annotations
@@ -484,7 +509,7 @@ def execute_core(st, pp, desc, time_factor, cold, record, seg, ev, lens, out8):
 
 
 # --------------------------------------------------------------------- #
-# Fused launch sequence (KernelLauncher.sequence_into's loop, transcribed).
+# One back-to-back launch sequence (a step of run_core).
 # --------------------------------------------------------------------- #
 @_njit(cache=True)
 def sequence_core(
@@ -511,11 +536,11 @@ def sequence_core(
 ):
     """A whole back-to-back sequence in one call.
 
-    Consumes the pre-drawn variates exactly as ``sequence_into`` does (four
-    standard normals per execution: launch latency, execution jitter, start
-    error, end error); ``cache`` is the kernel's (consecutive_executions,
-    last_end_s) pair, mirrored back to the device's ``_CacheState`` by the
-    caller.
+    Consumes four pre-drawn standard normals per execution (launch latency,
+    execution jitter, start error, end error) -- the stream the scalar
+    launch path draws one by one; ``cache`` is the kernel's
+    (consecutive_executions, last_end_s) pair, mirrored back to the device's
+    ``_CacheState`` by the caller.
     """
     min_factor = pp[P_MINFACT]
     retention = pp[P_RETENTION]
@@ -561,6 +586,185 @@ def sequence_core(
 
 
 # --------------------------------------------------------------------- #
+# One whole instrumented run (SimulatedDeviceBackend.run's timeline).
+# --------------------------------------------------------------------- #
+@_njit(cache=True)
+def run_core(
+    st,
+    pp,
+    descs,
+    seqs,
+    seqf,
+    caches,
+    variates,
+    spans,
+    latency_mean,
+    latency_jitter,
+    error_std,
+    gap_s,
+    seg,
+    ev,
+    lens,
+    exec_rows,
+    cpu_starts,
+    cpu_ends,
+    marks,
+):
+    """Park, logger start, anchor read, pre-delay, sequences, logger stop.
+
+    ``spans`` holds the idle durations (park, pre-padding, timestamp round
+    trip, pre-delay, post-padding); ``seqs`` row ``k`` is (descriptor offset
+    into ``descs``, cache slot in ``caches``, executions) and ``seqf`` row
+    ``k`` its (run factor, execution cv).  Sequences run through
+    :func:`sequence_core` back to back, consuming ``variates`` and filling
+    ``exec_rows`` / ``cpu_starts`` / ``cpu_ends`` from a running offset.
+    ``marks`` receives the logger start, the read-issue time, the time after
+    the read and the logger stop.  The park is not recorded.
+    """
+    rc = idle_core(st, pp, spans[0], 0, seg, ev, lens)
+    if rc != 0:
+        return rc
+    marks[0] = st[S_NOW]
+    rc = idle_core(st, pp, spans[1], 1, seg, ev, lens)
+    if rc != 0:
+        return rc
+    marks[1] = st[S_NOW]
+    rc = idle_core(st, pp, spans[2], 1, seg, ev, lens)
+    if rc != 0:
+        return rc
+    marks[2] = st[S_NOW]
+    if spans[3] > 0.0:
+        rc = idle_core(st, pp, spans[3], 1, seg, ev, lens)
+        if rc != 0:
+            return rc
+    offset = 0
+    for k in range(seqs.shape[0]):
+        executions = seqs[k, 2]
+        rc = sequence_core(
+            st,
+            pp,
+            descs[seqs[k, 0]:],
+            caches[seqs[k, 1]],
+            executions,
+            variates[4 * offset:],
+            1,
+            seqf[k, 0],
+            seqf[k, 1],
+            latency_mean,
+            latency_jitter,
+            error_std,
+            gap_s,
+            1,
+            seg,
+            ev,
+            lens,
+            exec_rows[offset:],
+            cpu_starts[offset:],
+            cpu_ends[offset:],
+        )
+        if rc != 0:
+            return rc
+        offset += executions
+    rc = idle_core(st, pp, spans[4], 1, seg, ev, lens)
+    if rc != 0:
+        return rc
+    marks[3] = st[S_NOW]
+    return 0
+
+
+# --------------------------------------------------------------------- #
+# Logger windows over a recorded timeline (the samplers' averaging).
+# --------------------------------------------------------------------- #
+@_njit(cache=True)
+def window_core(seg, fill, times, period, cum, out):
+    """Per-component power for each sample time, from sorted segment rows.
+
+    The timeline interleaves segments and gaps: bound ``2i`` is segment
+    ``i``'s start, bound ``2i + 1`` its end; interval ``2i`` carries the
+    segment's power and interval ``2i + 1`` (the gap to the next segment)
+    the idle ``fill``.  With ``period > 0`` every output row is the trailing
+    average ``(E(t) - E(t - period)) / period``, where ``E`` is the energy
+    from the first bound: a sequential prefix sum ``cum`` of ``power * dt``
+    over the intervals, plus ``power * (t - bound)`` into the interval
+    holding ``t``, and idle fill before the first and after the last bound.
+    With ``period <= 0`` every row is the instantaneous power at ``t``
+    (half-open segment spans, idle fill elsewhere).  An empty recording
+    behaves as one bound at 0.0.
+
+    Returns 0 on success, 1 when ``cum`` has fewer than ``max(2n, 1)`` rows
+    (grow and retry) and 2 when the segments are unsorted or overlap (the
+    caller falls back to the scalar helpers).
+    """
+    n = seg.shape[0]
+    for i in range(n):
+        if not (seg[i, 1] >= seg[i, 0]) or (i > 0 and not (seg[i, 0] >= seg[i - 1, 1])):
+            return 2
+    n_bounds = max(2 * n, 1)
+    last = n_bounds - 1
+    first_bound = 0.0
+    last_bound = 0.0
+    if n > 0:
+        first_bound = seg[0, 0]
+        last_bound = seg[n - 1, 1]
+    sides = 1
+    if period > 0.0:
+        sides = 2
+        if cum.shape[0] < n_bounds:
+            return 1
+        for c in range(3):
+            cum[0, c] = 0.0
+        for j in range(last):
+            i = j // 2
+            if j % 2 == 0:
+                dt = seg[i, 1] - seg[i, 0]
+            else:
+                dt = seg[i + 1, 0] - seg[i, 1]
+            for c in range(3):
+                p = fill[c]
+                if j % 2 == 0:
+                    p = seg[i, 2 + c]
+                cum[j + 1, c] = cum[j, c] + p * dt
+    for w in range(times.shape[0]):
+        for side in range(sides):
+            t = times[w]
+            if side == 0 and sides == 2:
+                t = t - period
+            # searchsorted(bounds, t, side="right") - 1 over the virtual bounds.
+            lo = 0
+            hi = n_bounds
+            while lo < hi:
+                mid = (lo + hi) // 2
+                bound = 0.0
+                if n > 0:
+                    bound = seg[mid // 2, mid % 2]
+                if bound <= t:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            k = lo - 1
+            for c in range(3):
+                if sides == 1:
+                    if k >= 0 and k < last and k % 2 == 0:
+                        out[w, c] = seg[k // 2, 2 + c]
+                    else:
+                        out[w, c] = fill[c]
+                    continue
+                if k < 0:
+                    e = (t - first_bound) * fill[c]
+                elif k >= last:
+                    e = cum[last, c] + (t - last_bound) * fill[c]
+                elif k % 2 == 0:
+                    e = cum[k, c] + seg[k // 2, 2 + c] * (t - seg[k // 2, 0])
+                else:
+                    e = cum[k, c] + fill[c] * (t - seg[k // 2, 1])
+                if side == 0:
+                    out[w, c] = e
+                else:
+                    out[w, c] = (e - out[w, c]) / period
+    return 0
+
+
+# --------------------------------------------------------------------- #
 # Public entry points (reset the output counters, then run the cores).
 # --------------------------------------------------------------------- #
 def k_idle(st, pp, duration, record, seg, ev, lens):
@@ -575,59 +779,30 @@ def k_execute(st, pp, desc, time_factor, cold, record, seg, ev, lens, out8):
     return execute_core(st, pp, desc, time_factor, cold, record, seg, ev, lens, out8)
 
 
-def k_sequence(
-    st,
-    pp,
-    desc,
-    cache,
-    executions,
-    variates,
-    has_rv,
-    run_factor,
-    execution_cv,
-    latency_mean,
-    latency_jitter,
-    error_std,
-    gap_s,
-    record,
-    seg,
-    ev,
-    lens,
-    exec_rows,
-    cpu_starts,
-    cpu_ends,
+def k_run(
+    st, pp, descs, seqs, seqf, caches, variates, spans,
+    latency_mean, latency_jitter, error_std, gap_s,
+    seg, ev, lens, exec_rows, cpu_starts, cpu_ends, marks,
 ):
     lens[0] = 0
     lens[1] = 0
-    return sequence_core(
-        st,
-        pp,
-        desc,
-        cache,
-        executions,
-        variates,
-        has_rv,
-        run_factor,
-        execution_cv,
-        latency_mean,
-        latency_jitter,
-        error_std,
-        gap_s,
-        record,
-        seg,
-        ev,
-        lens,
-        exec_rows,
-        cpu_starts,
-        cpu_ends,
+    return run_core(
+        st, pp, descs, seqs, seqf, caches, variates, spans,
+        latency_mean, latency_jitter, error_std, gap_s,
+        seg, ev, lens, exec_rows, cpu_starts, cpu_ends, marks,
     )
+
+
+def k_window(seg, fill, times, period, cum, out):
+    return window_core(seg, fill, times, period, cum, out)
 
 
 __all__ = [
     "HAVE_NUMBA",
     "k_idle",
     "k_execute",
-    "k_sequence",
+    "k_run",
+    "k_window",
     "STATE_LEN",
     "PARAM_LEN",
 ]

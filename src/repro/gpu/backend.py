@@ -14,13 +14,14 @@ caller-requested random delay before the executions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from ..core.records import (
     DelayCalibration,
-    ExecutionArena,
     ExecutionTiming,
+    ExecutionTimings,
     PowerReading,
     PowerReadings,
     RunRecord,
@@ -108,7 +109,6 @@ class SimulatedDeviceBackend:
             spec or mi300x_spec(), seed=seed, engine=self._config.resolved_engine()
         )
         self._descriptor_cache: dict[int, tuple[object, KernelActivityDescriptor]] = {}
-        self._arena = ExecutionArena()
         self._launcher = KernelLauncher(self._device, launch_config)
         self._noise_rng = np.random.default_rng(seed + 7919)
         idle_power = self._device.power_model.idle_power()
@@ -209,79 +209,82 @@ class SimulatedDeviceBackend:
         run_index: int = 0,
         preceding: tuple[tuple[object, int], ...] | list[tuple[object, int]] = (),
     ) -> RunRecord:
-        """One instrumented run (steps 2 and 5 of the methodology)."""
-        if executions <= 0:
-            raise ValueError("need at least one execution per run")
+        """One instrumented run (steps 2 and 5 of the methodology).
+
+        Every count and kernel handle is validated before the device is
+        touched, so a rejected call leaves the device unchanged.
+        """
+        executions = _positive_count(executions, "executions")
         if pre_delay_s < 0:
             raise ValueError("the random pre-delay cannot be negative")
         descriptor = self._descriptor_of(kernel)
+        sequences = [
+            (self._descriptor_of(handle), _positive_count(count, "preceding executions"))
+            for handle, count in preceding
+        ]
+        sequences.append((descriptor, executions))
         device = self._device
+        config = self._config
         period = self._sampler.period_s
+        launch = self._launcher.config
 
-        device.park(self._config.park_s)
-        logger_start_s = device.start_recording()
-        device.idle(self._config.pre_padding_periods * period)
-
-        anchor_read = device.read_timestamp()
-        anchor = TimestampAnchor(
-            gpu_ticks=anchor_read.gpu_ticks,
-            cpu_time_after_s=anchor_read.cpu_time_after_s,
-            round_trip_s=anchor_read.round_trip_s,
-        )
-
-        if pre_delay_s > 0:
-            device.idle(pre_delay_s)
-
-        if device.engine == "compiled":
-            # Hot path: launch sequences stage their timings in the backend's
-            # execution arena (no per-execution objects) and readings come
-            # straight from columnar samples -- identical values to the
-            # branch below; the record adopts both as lazy views.
-            arena = self._arena
-            arena.begin()
-            for preceding_kernel, preceding_count in preceding:
-                preceding_descriptor = self._descriptor_of(preceding_kernel)
-                variation = device.draw_run_variation(preceding_descriptor)
-                self._launcher.sequence_into(
-                    arena, preceding_descriptor, preceding_count, run_variation=variation
-                )
-            preceding_timing = arena.take()
-
-            run_variation = device.draw_run_variation(descriptor)
-            self._launcher.sequence_into(
-                arena, descriptor, executions, run_variation=run_variation
+        if (
+            device.engine == "compiled"
+            and launch.event_timestamp_error_s > 0
+            and all(d.variation.execution_cv > 0 for d, _ in sequences)
+        ):
+            # Hot path: one kernel call for the device timeline, one for the
+            # logger windows; timings and readings stay columnar views.
+            run = device.instrumented_run(
+                sequences, launch, config.park_s, config.pre_padding_periods * period,
+                pre_delay_s, config.post_padding_periods * period,
             )
-            executions_timing = arena.take()
-
-            device.idle(self._config.post_padding_periods * period)
-            segments = device.stop_recording()
-            logger_stop_s = device.now_s()
+            logger_start_s, anchor_read, logger_stop_s = (
+                run.logger_start_s, run.anchor, run.logger_stop_s
+            )
+            run_variation = run.variations[-1]
             readings = self._readings_fast(
-                *self._sampler.sample_columns(segments, logger_start_s, logger_stop_s)
+                *self._sampler.sample_columns(run.segments, logger_start_s, logger_stop_s)
+            )
+            split = run.cpu_starts.shape[0] - executions
+            preceding_timing = (
+                _timings(sequences[:-1], run.cpu_starts[:split], run.cpu_ends[:split])
+                if split else ()
+            )
+            executions_timing = _timings(
+                sequences[-1:], run.cpu_starts[split:], run.cpu_ends[split:]
             )
         else:
+            device.park(config.park_s)
+            logger_start_s = device.start_recording()
+            device.idle(config.pre_padding_periods * period)
+            anchor_read = device.read_timestamp()
+            if pre_delay_s > 0:
+                device.idle(pre_delay_s)
             preceding_observed: list[ObservedExecution] = []
-            for preceding_kernel, preceding_count in preceding:
-                preceding_descriptor = self._descriptor_of(preceding_kernel)
+            for preceding_descriptor, preceding_count in sequences[:-1]:
                 variation = device.draw_run_variation(preceding_descriptor)
                 preceding_observed.extend(
                     self._launcher.launch_sequence(
                         preceding_descriptor, preceding_count, run_variation=variation
                     )
                 )
-
             run_variation = device.draw_run_variation(descriptor)
             observed = self._launcher.launch_sequence(
                 descriptor, executions, run_variation=run_variation
             )
-
-            device.idle(self._config.post_padding_periods * period)
+            device.idle(config.post_padding_periods * period)
             segments = device.stop_recording()
             logger_stop_s = device.now_s()
             samples = self._sampler.samples(segments, logger_start_s, logger_stop_s)
             readings = tuple(self._reading_from(sample) for sample in samples)
             executions_timing = tuple(self._timing_from(obs) for obs in observed)
             preceding_timing = tuple(self._timing_from(obs) for obs in preceding_observed)
+        anchor = TimestampAnchor(
+            gpu_ticks=anchor_read.gpu_ticks,
+            cpu_time_after_s=anchor_read.cpu_time_after_s,
+            round_trip_s=anchor_read.round_trip_s,
+        )
         return RunRecord(
             run_index=run_index,
             kernel_name=descriptor.name,
@@ -295,7 +298,7 @@ class SimulatedDeviceBackend:
             metadata={
                 "logger_start_cpu_s": logger_start_s,
                 "logger_stop_cpu_s": logger_stop_s,
-                "sampler": self._config.sampler,
+                "sampler": config.sampler,
                 "run_variation_outlier": run_variation.is_outlier,
             },
         )
@@ -361,6 +364,29 @@ class SimulatedDeviceBackend:
             kernel_name=observed.kernel_name,
         )
 
+
+def _positive_count(count: object, what: str) -> int:
+    """``count`` as an int, rejecting non-integers and counts below one."""
+    if isinstance(count, bool) or not isinstance(count, Integral):
+        raise TypeError(f"{what} must be a positive int, got {count!r}")
+    if count <= 0:
+        raise ValueError(f"need at least one execution per run ({what} = {count})")
+    return int(count)
+
+
+def _timings(sequences, starts: np.ndarray, ends: np.ndarray) -> ExecutionTimings:
+    """Columnar timings of back-to-back sequences, each indexed from zero."""
+    names: list[str] = []
+    indices = []
+    for descriptor, executions in sequences:
+        names.extend([descriptor.name] * executions)
+        indices.append(np.arange(executions, dtype=np.int64))
+    return ExecutionTimings(
+        indices=indices[0] if len(indices) == 1 else np.concatenate(indices),
+        starts_s=starts,
+        ends_s=ends,
+        kernel_names=names,
+    )
 
 
 __all__ = ["BackendConfig", "SimulatedDeviceBackend"]

@@ -32,12 +32,15 @@ through :func:`repro.gpu.fastcore.resolve_engine` exactly like
   self-check pins every provider bit for bit against the pure-Python kernel
   bodies.  Simulation state (clock, warmth, control accumulator, firmware)
   is packed into a flat float vector around each call and recorded slices /
-  firmware events are drained from preallocated buffers afterwards, so a
-  whole launch sequence collapses to one kernel call.  Slices are recorded
-  columnar (:class:`_SegmentBuffer`, no per-slice dataclasses), idle-span
-  warmth is advanced with one closed-form relaxation per span, and
-  :meth:`stop_recording` returns a :class:`SegmentArray` that the telemetry
-  layer ingests without re-packing ``PowerSegment`` objects.
+  firmware events are drained from preallocated buffers afterwards.
+  :meth:`instrumented_run` simulates a whole instrumented run -- park,
+  logger start, anchor read, pre-delay, every launch sequence, logger stop
+  -- in one kernel call, with every RNG value drawn in Python beforehand;
+  single idle spans and executions are one call each.  Slices are recorded
+  columnar, idle-span warmth is advanced with one closed-form relaxation
+  per span, and a recording comes back as a :class:`SegmentArray` whose
+  storage is the kernels' ``(n, 5)`` ``(start, end, xcd, iod, hbm)`` rows,
+  which the telemetry window kernel reads as is.
 * ``engine="reference"`` -- the original per-slice path, retained as the
   executable specification.  It materialises one :class:`PowerSegment` per
   slice and steps the thermal model slice by slice.
@@ -58,6 +61,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import exp
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -70,6 +74,9 @@ from .power_model import IOD_FREQUENCY_COUPLING, ComponentPower, OperatingPoint,
 from .spec import GPUSpec, mi300x_spec
 from .thermal import ThermalModel, ThermalSpec
 from .variation import ExecutionTimeVariationModel, RunVariation
+
+if TYPE_CHECKING:
+    from .scheduler import LaunchConfig
 
 
 # Firmware-state <-> compiled-kernel code mapping.  Order mirrors the FW_*
@@ -106,49 +113,51 @@ class SegmentArray(Sequence):
     """Columnar view of a recorded power timeline.
 
     Behaves like an immutable sequence of :class:`PowerSegment` (elements are
-    materialised lazily on access) while exposing the underlying float arrays
-    -- ``starts_s``, ``ends_s`` and ``powers`` (columns xcd/iod/hbm) -- so
-    that :class:`repro.gpu.telemetry._SegmentTimeline` can ingest a recording
-    without re-packing thousands of dataclasses.
+    materialised lazily on access).  Its storage is one C-contiguous ``(n, 5)``
+    float array of ``(start, end, xcd, iod, hbm)`` rows -- the compiled
+    kernels' segment layout, which the telemetry window kernel reads as is;
+    ``starts_s``, ``ends_s`` and ``powers`` (columns xcd/iod/hbm) are views.
     """
 
-    __slots__ = ("starts_s", "ends_s", "powers")
+    __slots__ = ("rows",)
 
-    def __init__(self, starts_s, ends_s, powers) -> None:
-        self.starts_s = np.asarray(starts_s, dtype=float)
-        self.ends_s = np.asarray(ends_s, dtype=float)
-        self.powers = np.asarray(powers, dtype=float).reshape(self.starts_s.shape[0], 3)
-        if self.ends_s.shape != self.starts_s.shape:
-            raise ValueError("starts and ends must have the same length")
+    def __init__(self, rows) -> None:
+        self.rows = np.ascontiguousarray(rows, dtype=float).reshape(-1, 5)
 
     @classmethod
     def from_segments(cls, segments: Sequence[PowerSegment]) -> "SegmentArray":
         return cls(
-            [s.start_s for s in segments],
-            [s.end_s for s in segments],
-            [[s.power.xcd_w, s.power.iod_w, s.power.hbm_w] for s in segments],
+            [(s.start_s, s.end_s, s.power.xcd_w, s.power.iod_w, s.power.hbm_w) for s in segments]
         )
 
+    @property
+    def starts_s(self) -> np.ndarray:
+        return self.rows[:, 0]
+
+    @property
+    def ends_s(self) -> np.ndarray:
+        return self.rows[:, 1]
+
+    @property
+    def powers(self) -> np.ndarray:
+        return self.rows[:, 2:5]
+
     def __len__(self) -> int:
-        return self.starts_s.shape[0]
+        return self.rows.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return SegmentArray(self.starts_s[index], self.ends_s[index], self.powers[index])
-        row = self.powers[index]
+            return SegmentArray(self.rows[index])
+        row = self.rows[index]
         return PowerSegment(
-            start_s=float(self.starts_s[index]),
-            end_s=float(self.ends_s[index]),
-            power=ComponentPower(xcd_w=float(row[0]), iod_w=float(row[1]), hbm_w=float(row[2])),
+            start_s=float(row[0]),
+            end_s=float(row[1]),
+            power=ComponentPower(xcd_w=float(row[2]), iod_w=float(row[3]), hbm_w=float(row[4])),
         )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SegmentArray):
-            return (
-                np.array_equal(self.starts_s, other.starts_s)
-                and np.array_equal(self.ends_s, other.ends_s)
-                and np.array_equal(self.powers, other.powers)
-            )
+            return np.array_equal(self.rows, other.rows)
         if isinstance(other, (list, tuple)):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
@@ -205,7 +214,7 @@ class _SegmentBuffer:
             if cursor < flat.shape[0]:
                 pieces.append(flat[cursor:])
             flat = np.concatenate(pieces)
-        return SegmentArray(flat[:, 0], flat[:, 1], flat[:, 2:5])
+        return SegmentArray(flat)
 
 
 @dataclass(frozen=True)
@@ -223,6 +232,23 @@ class KernelExecutionResult:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
+
+
+class InstrumentedRun(NamedTuple):
+    """What :meth:`SimulatedGPU.instrumented_run` hands back to the backend.
+
+    ``cpu_starts`` / ``cpu_ends`` hold the host-observed times of every
+    sequence's executions, in sequence order; ``variations`` one run
+    variation per sequence.
+    """
+
+    logger_start_s: float
+    anchor: TimestampReadResult
+    variations: list[RunVariation]
+    cpu_starts: np.ndarray
+    cpu_ends: np.ndarray
+    segments: SegmentArray
+    logger_stop_s: float
 
 
 class _ExecutionLog:
@@ -703,15 +729,14 @@ class SimulatedGPU:
             self._buffer.append_block(self._fc_seg[:n_seg].copy())
         n_ev = int(lens[1])
         if n_ev:
-            ev = self._fc_ev
             events = self._firmware._events
-            for k in range(n_ev):
+            for time_s, code, frequency_ghz, power_w in self._fc_ev[:n_ev].tolist():
                 events.append(
                     FirmwareEvent(
-                        time_s=float(ev[k, 0]),
-                        state=_FC_STATES[int(ev[k, 1])],
-                        frequency_ghz=float(ev[k, 2]),
-                        power_w=float(ev[k, 3]),
+                        time_s=time_s,
+                        state=_FC_STATES[int(code)],
+                        frequency_ghz=frequency_ghz,
+                        power_w=power_w,
                     )
                 )
 
@@ -888,70 +913,110 @@ class SimulatedGPU:
         fields["mean_power"] = mean_power
         return result
 
-    def _sequence_compiled(
+    def instrumented_run(
         self,
-        descriptor: KernelActivityDescriptor,
-        executions: int,
-        variates: np.ndarray,
-        run_variation: RunVariation | None,
-        execution_cv: float,
-        latency_mean: float,
-        latency_jitter: float,
-        error_std: float,
-        gap_s: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One fused kernel call for a whole back-to-back launch sequence.
+        sequences: Sequence[tuple[KernelActivityDescriptor, int]],
+        launch: "LaunchConfig",
+        park_s: float,
+        pre_padding_s: float,
+        pre_delay_s: float,
+        post_padding_s: float,
+    ) -> InstrumentedRun:
+        """One instrumented run's whole device timeline in one kernel call.
 
-        ``variates`` is the launcher's batched ``standard_normal(4 * n)``
-        draw (latency, jitter, two timestamp errors per execution, consumed
-        in that order inside the kernel -- the identical stream the scalar
-        launch path consumes).  Returns the host-observed
-        ``(cpu_starts, cpu_ends)`` arrays; ground-truth rows land in the
-        columnar execution log in bulk.
+        Replays, on the compiled engine, what the backend's step-by-step
+        path does: park (unrecorded), start recording, pre-padding idle, the
+        timestamp-anchor read, the pre-delay, every ``(descriptor,
+        executions)`` launch sequence back to back (the main one last),
+        post-padding idle and stop recording.  All RNG values are drawn here
+        first, in the step-by-step order: the two read delays, then per
+        sequence its run variation and ``standard_normal(4 * n)`` (launch
+        latency, execution jitter, two timestamp errors per execution).  The
+        device is left exactly as the step-by-step run leaves it.  Requires
+        ``launch.event_timestamp_error_s > 0`` and a positive execution cv on
+        every descriptor (the four-variates draw).
         """
-        state = self._cache_states.get(descriptor.name)
-        if state is None:
-            state = _CacheState()
-            self._cache_states[descriptor.name] = state
-        desc = self._fc_descriptor(descriptor)
-        if run_variation is None:
-            has_rv = 0
-            run_factor = 1.0
-        else:
-            has_rv = 1
-            run_factor = run_variation.run_factor
-        fc_sequence = self._fc.sequence
-        record = 1 if self._recording else 0
-        cache = self._fc_cache
-        exec_rows = np.empty((executions, 8))
-        cpu_starts = np.empty(executions)
-        cpu_ends = np.empty(executions)
+        counter = self._timestamp_counter
+        one_way = counter.sample_read_delay_s()
+        return_way = counter.sample_read_delay_s()
+        slots: dict[str, int] = {}
+        descs: list[np.ndarray] = []
+        variates: list[np.ndarray] = []
+        variations: list[RunVariation] = []
+        seq_rows: list[tuple[int, int, int]] = []
+        seq_factors: list[tuple[float, float]] = []
+        offset = total = 0
+        for descriptor, executions in sequences:
+            variation = self._variation.draw_run(descriptor.variation)
+            variations.append(variation)
+            variates.append(self._rng.standard_normal(4 * executions))
+            desc = self._fc_descriptor(descriptor)
+            descs.append(desc)
+            seq_rows.append((offset, slots.setdefault(descriptor.name, len(slots)), executions))
+            seq_factors.append((variation.run_factor, descriptor.variation.execution_cv))
+            offset += desc.shape[0]
+            total += executions
+        states = []
+        for name in slots:
+            state = self._cache_states.get(name)
+            if state is None:
+                state = self._cache_states[name] = _CacheState()
+            states.append(state)
+        seqs = np.array(seq_rows, dtype=np.int64)
+        seqf = np.array(seq_factors)
+        descs_flat = descs[0] if len(descs) == 1 else np.concatenate(descs)
+        variates_flat = variates[0] if len(variates) == 1 else np.concatenate(variates)
+        spans = np.array(
+            [park_s, pre_padding_s, one_way + return_way, pre_delay_s, post_padding_s]
+        )
+        caches = np.empty((len(states), 2))
+        exec_rows = np.empty((total, 8))
+        cpu = np.empty((2, total))
+        cpu_starts, cpu_ends = cpu[0], cpu[1]
+        marks = np.empty(4)
+        fc_run = self._fc.run
         while True:
             st = self._fc_pack()
-            # The kernel applies the same retention expiry per execution the
-            # scalar path applies on fetch, so seeding the raw state is exact.
-            cache[0] = float(state.consecutive_executions)
-            cache[1] = state.last_end_s
-            rc = fc_sequence(
-                st, self._fc_params, desc, cache, executions, variates,
-                has_rv, run_factor, execution_cv,
-                latency_mean, latency_jitter, error_std, gap_s,
-                record, self._fc_seg, self._fc_ev, self._fc_lens,
-                exec_rows, cpu_starts, cpu_ends,
+            for slot, state in enumerate(states):
+                caches[slot, 0] = float(state.consecutive_executions)
+                caches[slot, 1] = state.last_end_s
+            rc = fc_run(
+                st, self._fc_params, descs_flat, seqs, seqf, caches, variates_flat, spans,
+                launch.launch_latency_s, launch.launch_jitter_s,
+                launch.event_timestamp_error_s, launch.inter_execution_gap_s,
+                self._fc_seg, self._fc_ev, self._fc_lens,
+                exec_rows, cpu_starts, cpu_ends, marks,
             )
             if rc == 0:
                 break
             self._fc_grow(rc)
         self._fc_unpack()
+        # Recording is over: the drain below only flushes firmware events.
+        self._recording = False
+        self._segments = []
+        self._executions = []
+        self._buffer = _SegmentBuffer()
+        self._record_extend = self._buffer.data.extend
         self._fc_drain()
-        state.consecutive_executions = int(cache[0])
-        state.last_end_s = float(cache[1])
-        if record:
-            # Bulk-append the ground-truth rows: the kernel's row layout is
-            # exactly the execution log's.
-            self._exec_log.data.frombytes(exec_rows.tobytes())
-            self._exec_log.names.extend([descriptor.name] * executions)
-        return cpu_starts, cpu_ends
+        segments = SegmentArray(self._fc_seg[: int(self._fc_lens[0])].copy())
+        for slot, state in enumerate(states):
+            state.consecutive_executions = int(caches[slot, 0])
+            state.last_end_s = float(caches[slot, 1])
+        log = self._exec_log
+        log.clear()
+        log.data.frombytes(exec_rows.tobytes())
+        for descriptor, executions in sequences:
+            log.names.extend([descriptor.name] * executions)
+        read_mark = float(marks[1])
+        anchor = TimestampReadResult(
+            gpu_ticks=counter.ticks_at(read_mark + one_way),
+            cpu_time_after_s=float(marks[2]),
+            round_trip_s=one_way + return_way,
+        )
+        return InstrumentedRun(
+            float(marks[0]), anchor, variations, cpu_starts, cpu_ends, segments,
+            float(marks[3]),
+        )
 
     # ------------------------------------------------------------------ #
     # Internals.
@@ -987,4 +1052,10 @@ class SimulatedGPU:
         self._cache_states.clear()
 
 
-__all__ = ["PowerSegment", "SegmentArray", "KernelExecutionResult", "SimulatedGPU"]
+__all__ = [
+    "PowerSegment",
+    "SegmentArray",
+    "KernelExecutionResult",
+    "InstrumentedRun",
+    "SimulatedGPU",
+]

@@ -4,8 +4,9 @@ The device offers two engines:
 
 ``compiled``
     The fast path.  The hot loops (idle per-period loop, execution slice
-    loop, firmware control boundary, closed-form thermal relaxation) run as
-    the kernels of :mod:`repro.gpu._fastcore_kernels`, served by the first
+    loop, firmware control boundary, closed-form thermal relaxation, a
+    whole instrumented run's timeline and the logger window averaging) run
+    as the kernels of :mod:`repro.gpu._fastcore_kernels`, served by the first
     provider of the chain ``numba`` -> ``cc`` -> ``python`` that loads and
     passes its self-check:
 
@@ -67,19 +68,22 @@ _KERNEL_CHAIN = (
     "idle_core",
     "execute_core",
     "sequence_core",
+    "run_core",
+    "window_core",
 )
 
 
 class KernelBundle:
-    """One provider's uniform kernel API (idle / execute / sequence)."""
+    """One provider's uniform kernel API (idle / execute / run / window)."""
 
-    __slots__ = ("name", "idle", "execute", "sequence", "numba_version", "lib_path")
+    __slots__ = ("name", "idle", "execute", "run", "window", "numba_version", "lib_path")
 
-    def __init__(self, name, idle, execute, sequence, numba_version=None, lib_path=None):
+    def __init__(self, name, idle, execute, run, window, numba_version=None, lib_path=None):
         self.name = name
         self.idle = idle
         self.execute = execute
-        self.sequence = sequence
+        self.run = run
+        self.window = window
         self.numba_version = numba_version
         self.lib_path = lib_path
 
@@ -141,7 +145,8 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
                 "numba",
                 _K.k_idle,
                 _K.k_execute,
-                _K.k_sequence,
+                _K.k_run,
+                _K.k_window,
                 numba_version=numba.__version__,
             ),
             None,
@@ -152,7 +157,8 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
                 "python",
                 _unjitted(_K.k_idle),
                 _unjitted(_K.k_execute),
-                _unjitted(_K.k_sequence),
+                _unjitted(_K.k_run),
+                _unjitted(_K.k_window),
             ),
             None,
         )
@@ -164,7 +170,9 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
         except Exception as exc:
             return None, f"cc: {exc}"
         return (
-            KernelBundle("cc", cc.idle, cc.execute, cc.sequence, lib_path=cc.lib_path),
+            KernelBundle(
+                "cc", cc.idle, cc.execute, cc.run, cc.window, lib_path=cc.lib_path
+            ),
             None,
         )
     return None, f"unknown provider {name!r}"
@@ -250,8 +258,8 @@ def _scenario_params() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return st, pp, desc_long, desc_short
 
 
-def _run_scenario(idle, execute, sequence) -> dict[str, np.ndarray]:
-    """Drive the three entry points through a fixed multi-branch scenario."""
+def _run_scenario(bundle) -> dict[str, np.ndarray]:
+    """Drive every entry point through a fixed multi-branch scenario."""
     st, pp, desc_long, desc_short = _scenario_params()
     period = pp[_K.P_PERIOD]
     seg = np.zeros((512, 5))
@@ -272,31 +280,62 @@ def _run_scenario(idle, execute, sequence) -> dict[str, np.ndarray]:
 
     out8_a = np.zeros(8)
     out8_b = np.zeros(8)
-    check(idle(st, pp, 0.9 * period, 1, seg, ev, lens))
+    check(bundle.idle(st, pp, 0.9 * period, 1, seg, ev, lens))
     drain()
-    check(execute(st, pp, desc_long, 1.0, 1, 1, seg, ev, lens, out8_a))
+    check(bundle.execute(st, pp, desc_long, 1.0, 1, 1, seg, ev, lens, out8_a))
     drain()
-    check(idle(st, pp, 3.3 * period, 1, seg, ev, lens))
+    check(bundle.idle(st, pp, 3.3 * period, 1, seg, ev, lens))
     drain()
-    check(execute(st, pp, desc_long, 0.97, 0, 1, seg, ev, lens, out8_b))
+    check(bundle.execute(st, pp, desc_long, 0.97, 0, 1, seg, ev, lens, out8_b))
     drain()
-    check(idle(st, pp, 10.0 * period, 1, seg, ev, lens))
+    check(bundle.idle(st, pp, 10.0 * period, 1, seg, ev, lens))
     drain()
 
-    executions = 5
-    cache = np.array([0.0, -1.0])
+    # One instrumented run: unrecorded park, a preceding short sequence, the
+    # long kernel, then the short kernel again on the shared cache slot.
+    descs = np.concatenate([desc_short, desc_long])
+    seqs = np.array(
+        [[0, 0, 3], [desc_short.shape[0], 1, 1], [0, 0, 4]], dtype=np.int64
+    )
+    seqf = np.array([[1.02, 0.006], [0.99, 0.004], [0.97, 0.006]])
+    executions = int(seqs[:, 2].sum())
     variates = np.linspace(-1.2, 1.3, 4 * executions)
+    spans = np.array([12.0 * period, 1.5 * period, 4e-6, 0.3 * period, 1.3 * period])
     exec_rows = np.zeros((executions, 8))
     cpu_starts = np.zeros(executions)
     cpu_ends = np.zeros(executions)
-    check(
-        sequence(
-            st, pp, desc_short, cache, executions, variates, 1, 1.02,
-            0.006, 2.5e-6, 0.5e-6, 0.6e-6, 1.0e-6, 1,
-            seg, ev, lens, exec_rows, cpu_starts, cpu_ends,
+    marks = np.zeros(4)
+    st_before = st.copy()
+
+    def run(seg_rows: np.ndarray, caches: np.ndarray):
+        st[:] = st_before
+        return bundle.run(
+            st, pp, descs, seqs, seqf, caches, variates, spans,
+            2.5e-6, 0.5e-6, 0.6e-6, 1.0e-6,
+            seg_rows, ev, lens, exec_rows, cpu_starts, cpu_ends, marks,
         )
-    )
+
+    caches = np.array([[0.0, -1.0], [1.0, -1.0]])
+    overflow_rc = run(np.zeros((4, 5)), caches.copy())
+    check(run(seg, caches))
     drain()
+
+    # Logger windows over the run's recording, whole and with gaps cut in,
+    # on a grid reaching before the first and past the last segment.
+    recorded = segs[-1]
+    gapped = np.ascontiguousarray(recorded[::2])
+    fill = pp[_K.P_IDLE_X : _K.P_IDLE_H + 1].copy()
+    times = np.linspace(recorded[0, 0] - 1.5 * period, recorded[-1, 1] + period, 23)
+    cum = np.zeros((2 * recorded.shape[0], 3))
+    windows = []
+    out = np.zeros((times.shape[0], 3))
+    window_rcs = [bundle.window(recorded, fill, times, 4 * period, np.zeros((3, 3)), out)]
+    for rows in (recorded, gapped, recorded[:0]):
+        for width in (4 * period, 0.5 * period, 0.0):
+            out = np.zeros((times.shape[0], 3))
+            window_rcs.append(bundle.window(rows, fill, times, width, cum, out))
+            windows.append(out)
+    window_rcs.append(bundle.window(recorded[::-1].copy(), fill, times, period, cum, out))
     return {
         "segments": np.vstack(segs),
         "events": np.vstack(evs),
@@ -306,14 +345,20 @@ def _run_scenario(idle, execute, sequence) -> dict[str, np.ndarray]:
         "exec_rows": exec_rows,
         "cpu_starts": cpu_starts,
         "cpu_ends": cpu_ends,
-        "cache": cache,
+        "caches": caches,
+        "marks": marks,
+        "overflow_rc": np.array([overflow_rc]),
+        "windows": np.vstack(windows),
+        "window_rcs": np.array(window_rcs),
     }
 
 
 def _run_scenario_pure() -> dict[str, np.ndarray]:
     """Reference run over the pure-Python kernel bodies."""
     with _pure_kernels():
-        return _run_scenario(_K.k_idle, _K.k_execute, _K.k_sequence)
+        return _run_scenario(
+            KernelBundle("pure", _K.k_idle, _K.k_execute, _K.k_run, _K.k_window)
+        )
 
 
 def self_check(bundle: KernelBundle) -> str | None:
@@ -323,7 +368,7 @@ def self_check(bundle: KernelBundle) -> str | None:
     and execution row agrees exactly, else a short failure description.
     """
     try:
-        got = _run_scenario(bundle.idle, bundle.execute, bundle.sequence)
+        got = _run_scenario(bundle)
         want = _run_scenario_pure()
     except Exception as exc:
         return f"self-check scenario failed: {exc!r}"

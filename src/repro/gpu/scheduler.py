@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.records import ExecutionArena, ExecutionTiming
 from .activity import KernelActivityDescriptor
 from .device import KernelExecutionResult, SimulatedGPU
 from .variation import RunVariation
@@ -68,13 +67,6 @@ class KernelLauncher:
         self._config = config or LaunchConfig()
         self._config.validate()
         self._rng = device.rng
-        config = self._config
-        self._fast_consts = (
-            config.launch_latency_s,
-            config.launch_jitter_s,
-            config.event_timestamp_error_s,
-            config.inter_execution_gap_s,
-        )
 
     @property
     def device(self) -> SimulatedGPU:
@@ -200,80 +192,6 @@ class KernelLauncher:
                 self.launch(descriptor, execution_index=start_index + i, run_variation=run_variation)
             )
         return observed
-
-    def sequence_into(
-        self,
-        arena: ExecutionArena,
-        descriptor: KernelActivityDescriptor,
-        executions: int,
-        run_variation: RunVariation | None = None,
-        start_index: int = 0,
-    ) -> None:
-        """Stage a back-to-back sequence's host-observed timings into ``arena``.
-
-        The instrumented-run hot path (compiled device): identical simulated
-        behaviour and values as :meth:`launch_sequence` followed by an
-        :class:`ExecutionTiming` conversion, with three shortcuts --
-
-        * all RNG variates of the sequence (launch latency, execution jitter
-          and the two event-timestamp errors per execution, consumed in
-          exactly that order) come from one batched ``standard_normal`` draw,
-          which is bit-identical to the per-execution scalar draws;
-        * one fused kernel call simulates the whole sequence;
-        * no timing objects are built at all: the host-observed times land in
-          the arena's columnar buffers, and the run record adopts the arena
-          snapshot as a lazy :class:`ExecutionTimings` view.
-        """
-        if executions <= 0:
-            raise ValueError("need at least one execution")
-        device = self._device
-        latency_mean, latency_jitter, error_std, gap_s = self._fast_consts
-        execution_cv = descriptor.variation.execution_cv
-        append_start, append_end = arena.stage(descriptor.name, start_index, executions)
-        if device.engine != "compiled" or execution_cv <= 0 or error_std <= 0:
-            # Configurations whose scalar path consumes a different draw
-            # pattern fall back to the launch loop (identical by definition).
-            for observed in self.launch_sequence(
-                descriptor, executions, run_variation=run_variation, start_index=start_index
-            ):
-                append_start(observed.cpu_start_s)
-                append_end(observed.cpu_end_s)
-            return
-        variates = self._rng.standard_normal(4 * executions)
-        cpu_starts, cpu_ends = device._sequence_compiled(
-            descriptor, executions, variates, run_variation,
-            execution_cv, latency_mean, latency_jitter, error_std, gap_s,
-        )
-        arena.stage_filled(cpu_starts, cpu_ends)
-
-    def sequence_timings(
-        self,
-        descriptor: KernelActivityDescriptor,
-        executions: int,
-        run_variation: RunVariation | None = None,
-        start_index: int = 0,
-    ) -> list[ExecutionTiming]:
-        """Host-observed timings of a back-to-back sequence, as objects.
-
-        Compatibility wrapper over :meth:`sequence_into`: stages the sequence
-        in a throwaway arena and materialises the timings (same simulated
-        behaviour, RNG stream and values).
-        """
-        arena = ExecutionArena()
-        self.sequence_into(
-            arena, descriptor, executions,
-            run_variation=run_variation, start_index=start_index,
-        )
-        return list(arena.take())
-
-    @staticmethod
-    def _timing_of(observed: ObservedExecution) -> ExecutionTiming:
-        return ExecutionTiming(
-            index=observed.execution_index,
-            cpu_start_s=observed.cpu_start_s,
-            cpu_end_s=observed.cpu_end_s,
-            kernel_name=observed.kernel_name,
-        )
 
 
 __all__ = ["LaunchConfig", "ObservedExecution", "KernelLauncher"]

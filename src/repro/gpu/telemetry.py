@@ -17,9 +17,18 @@ describes:
 All samplers are *post-processing* views over the instantaneous power timeline
 recorded by the device -- either a :class:`~repro.gpu.device.PowerSegment`
 list (reference engine) or a columnar
-:class:`~repro.gpu.device.SegmentArray` (compiled engine, ingested without
-re-packing dataclasses) -- which keeps the simulation simple while preserving
-the observable behaviour.
+:class:`~repro.gpu.device.SegmentArray` (compiled engine) -- which keeps the
+simulation simple while preserving the observable behaviour.
+
+Data layout: a recording reaches the samplers as the ``(n, 5)`` rows
+``(start, end, xcd, iod, hbm)`` of a :class:`SegmentArray` (a segment list
+is packed into one first).  A run's whole sample batch is one call of the
+fastcore ``window`` kernel (:func:`repro.gpu._fastcore_kernels.window_core`)
+over those rows, the float64 sample times and the idle ``fill`` power,
+writing one xcd/iod/hbm row per sample; its ``(max(2n, 1), 3)``
+cumulative-energy scratch table lives on the sampler.  Unsorted or
+overlapping segments take the scalar ``_average_power_over`` /
+``_instantaneous_power_at`` helpers instead.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fastcore
 from .clocks import GPUTimestampCounter
 from .device import PowerSegment, SegmentArray
 from .power_model import ComponentPower
@@ -94,138 +104,87 @@ def _instantaneous_power_at(
     return fill_power
 
 
-class _SegmentTimeline:
-    """Vectorized view over a recording's power segments.
+class _WindowSampler:
+    """Sample evaluation shared by the samplers: one ``window`` kernel call.
 
-    Builds a piecewise-constant (xcd, iod, hbm) power timeline -- segment
-    power inside segments, ``fill_power`` in the gaps and outside the recorded
-    span -- together with a cumulative-energy table at every segment boundary.
-    Window averages then reduce to two cumulative-energy lookups per window
-    instead of a scan over all segments, turning the per-sample O(segments)
-    averaging into O(log segments).
-
-    Requires chronologically sorted, non-overlapping segments (what the device
-    records); ``usable`` is False otherwise and callers fall back to the
-    scalar helpers, which also handle overlap.
-
-    Long idle spans reach this layer as one gapless boundary grid: each
-    compiled idle-kernel call bulk-appends a whole grid of control-period
-    slices, so a recording dominated by parks and padding is ingested here
-    as a single contiguous :class:`SegmentArray` taking the gapless fast path
-    below -- no per-slice Python on either side.
+    Every sample batch of a recording -- trailing-window averages or point
+    samples -- is one call of the active fastcore provider's ``window``
+    kernel over the recording's ``(n, 5)`` segment rows; its cumulative
+    energy scratch table lives here, grown (and the call retried) when a
+    recording outgrows it.  Unsorted or overlapping segments fall back to
+    the scalar helpers, which also handle overlap.
     """
 
-    def __init__(self, segments: Sequence[PowerSegment], fill_power: ComponentPower) -> None:
-        self._fill = np.array(
-            [fill_power.xcd_w, fill_power.iod_w, fill_power.hbm_w], dtype=float
-        )
-        n = len(segments)
-        self._gapless = False
-        if n == 0:
-            self.usable = True
-            self._bounds = np.zeros(1, dtype=float)
-            self._powers = np.empty((0, 3), dtype=float)
-            self._cumulative = np.zeros((1, 3), dtype=float)
-            return
-        if isinstance(segments, SegmentArray):
-            # Columnar recordings from the compiled device are ingested
-            # directly -- no per-segment dataclass unpacking.
-            starts = segments.starts_s
-            ends = segments.ends_s
-            segment_powers = segments.powers
+    def __init__(self, counter: GPUTimestampCounter, period_s: float,
+                 idle_power: ComponentPower, phase_offset_s: float) -> None:
+        self._counter = counter
+        self._period_s = period_s
+        self._idle_power = idle_power
+        self._phase_offset_s = phase_offset_s % period_s
+        self._fill = np.array([idle_power.xcd_w, idle_power.iod_w, idle_power.hbm_w])
+        self._cum = np.empty((1024, 3))
+        #: Kernel provider; resolved on first use (tests may pin one).
+        self._fc = None
+
+    @property
+    def period_s(self) -> float:
+        return self._period_s
+
+    def _window_powers(
+        self, segments: Sequence[PowerSegment], times: np.ndarray, window_s: float
+    ) -> np.ndarray:
+        """Per-sample xcd/iod/hbm rows: averages over ``window_s``, or points at 0."""
+        if self._fc is None:
+            self._fc = fastcore.kernels()
+        if not isinstance(segments, SegmentArray):
+            segments = SegmentArray.from_segments(segments)
+        rows = segments.rows
+        powers = np.empty((times.shape[0], 3))
+        rc = self._fc.window(rows, self._fill, times, window_s, self._cum, powers)
+        if rc == 1:
+            self._cum = np.empty((max(2 * self._cum.shape[0], 2 * rows.shape[0], 1), 3))
+            rc = self._fc.window(rows, self._fill, times, window_s, self._cum, powers)
+        if rc == 0:
+            return powers
+        if window_s > 0:
+            scalar = [
+                _average_power_over(segments, t - window_s, t, self._idle_power)
+                for t in times
+            ]
         else:
-            starts = np.asarray([s.start_s for s in segments], dtype=float)
-            ends = np.asarray([s.end_s for s in segments], dtype=float)
-            segment_powers = np.asarray(
-                [[s.power.xcd_w, s.power.iod_w, s.power.hbm_w] for s in segments],
-                dtype=float,
+            scalar = [_instantaneous_power_at(segments, t, self._idle_power) for t in times]
+        return np.asarray([[p.xcd_w, p.iod_w, p.hbm_w] for p in scalar], dtype=float)
+
+    def _columns(self, segments, times: np.ndarray, window_s: float):
+        if times.shape[0] == 0:
+            return times.astype(np.int64), times, np.empty((0, 3)), window_s
+        powers = self._window_powers(segments, times, window_s)
+        return self._counter.ticks_at_many(times), times, powers, window_s
+
+    def samples(
+        self,
+        segments: Sequence[PowerSegment],
+        start_s: float,
+        stop_s: float,
+    ) -> list[TelemetrySample]:
+        """Compute the samples the sampler would have reported for a recording."""
+        ticks, times, powers, window_s = self.sample_columns(segments, start_s, stop_s)
+        return [
+            TelemetrySample(
+                gpu_timestamp_ticks=int(ticks[i]),
+                window_end_s=float(times[i]),
+                window_s=window_s,
+                power=ComponentPower(
+                    xcd_w=float(powers[i, 0]),
+                    iod_w=float(powers[i, 1]),
+                    hbm_w=float(powers[i, 2]),
+                ),
             )
-        self.usable = bool(
-            (ends >= starts).all() and (starts[1:] >= ends[:-1]).all()
-        )
-        if not self.usable:
-            return
-        if n > 1 and (starts[1:] == ends[:-1]).all():
-            # Gapless recording (the device emits contiguous slices): every
-            # interval is a segment, so the zero-width gap intervals of the
-            # general layout can be dropped.  Cumulative energies are
-            # identical -- the dropped gaps contribute exactly 0.0.
-            bounds = np.empty(n + 1, dtype=float)
-            bounds[:n] = starts
-            bounds[n] = ends[n - 1]
-            powers = segment_powers
-            self._gapless = True
-        else:
-            # Boundaries interleave starts and ends; interval 2i is segment i,
-            # odd intervals are the gaps in between (filled with idle power).
-            bounds = np.empty(2 * n, dtype=float)
-            bounds[0::2] = starts
-            bounds[1::2] = ends
-            powers = np.empty((2 * n - 1, 3), dtype=float)
-            powers[0::2] = segment_powers
-            powers[1::2] = self._fill
-        m = powers.shape[0]
-        cumulative = np.zeros((m + 1, 3), dtype=float)
-        np.cumsum(powers * np.diff(bounds)[:, None], axis=0, out=cumulative[1:])
-        self._bounds = bounds
-        self._powers = powers
-        self._cumulative = cumulative
-
-    def energy_between(self, starts_s: np.ndarray, ends_s: np.ndarray) -> np.ndarray:
-        """Per-component energy over each ``[start, end]`` window (shape (m, 3))."""
-        return self._energy_at(ends_s) - self._energy_at(starts_s)
-
-    def _energy_at(self, times_s: np.ndarray) -> np.ndarray:
-        """Cumulative per-component energy from the first boundary to ``t``.
-
-        Negative for times before the first boundary (idle fill extends to
-        infinity on both sides), which cancels in :meth:`energy_between`.
-        ``times_s`` must be ascending (the samplers' grids are), which lets
-        the out-of-range fixups test only the first/last interval index.
-        """
-        times = np.asarray(times_s, dtype=float)
-        bounds = self._bounds
-        last = bounds.shape[0] - 1
-        interval = bounds.searchsorted(times, side="right") - 1
-        clipped = np.minimum(np.maximum(interval, 0), last - 1 if last > 1 else 0)
-        if self._powers.shape[0]:
-            energy = (
-                self._cumulative[clipped]
-                + self._powers[clipped] * (times - bounds[clipped])[:, None]
-            )
-        else:
-            energy = np.zeros((times.shape[0], 3), dtype=float)
-        if times.shape[0]:
-            if interval[0] < 0:
-                before = interval < 0
-                energy[before] = (times[before] - bounds[0])[:, None] * self._fill
-            if interval[-1] >= last:
-                after = interval >= last
-                energy[after] = (
-                    self._cumulative[last]
-                    + (times[after] - bounds[last])[:, None] * self._fill
-                )
-        return energy
-
-    def power_at(self, times_s: np.ndarray) -> np.ndarray:
-        """Instantaneous per-component power at each time (shape (m, 3)).
-
-        Matches :func:`_instantaneous_power_at`: half-open ``[start, end)``
-        segment spans, idle fill elsewhere.
-        """
-        times = np.asarray(times_s, dtype=float)
-        interval = np.searchsorted(self._bounds, times, side="right") - 1
-        inside = (interval >= 0) & (interval < self._powers.shape[0])
-        if not self._gapless:
-            # In the interleaved layout only even intervals are segments.
-            inside &= interval % 2 == 0
-        power = np.broadcast_to(self._fill, (times.shape[0], 3)).copy()
-        if self._powers.shape[0]:
-            power[inside] = self._powers[interval[inside]]
-        return power
+            for i in range(times.shape[0])
+        ]
 
 
-class AveragingPowerLogger:
+class AveragingPowerLogger(_WindowSampler):
     """The on-GPU trailing-window averaging power logger (paper S1).
 
     The logger free-runs: sample boundaries sit on a fixed absolute grid of
@@ -245,14 +204,7 @@ class AveragingPowerLogger:
     ) -> None:
         if period_s <= 0:
             raise ValueError("logger period must be positive")
-        self._counter = counter
-        self._period_s = period_s
-        self._idle_power = idle_power
-        self._phase_offset_s = phase_offset_s % period_s
-
-    @property
-    def period_s(self) -> float:
-        return self._period_s
+        super().__init__(counter, period_s, idle_power, phase_offset_s)
 
     def sample_times_between(self, start_s: float, end_s: float) -> list[float]:
         """Absolute times of the sample boundaries within ``(start_s, end_s]``.
@@ -281,56 +233,14 @@ class AveragingPowerLogger:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Columnar samples: ``(gpu_ticks, window_end_s, powers, window_s)``.
 
-        ``powers`` has one xcd/iod/hbm row per sample.  This is the raw form
-        the compiled-engine backend consumes directly; :meth:`samples` wraps the
-        same columns into :class:`TelemetrySample` objects.
-
-        Segment-to-sample averaging runs on the cumulative-energy timeline:
-        every window average is the difference of two cumulative-energy
-        lookups, evaluated for all samples in one vectorized pass.
+        ``powers`` has one xcd/iod/hbm row per sample: the average over the
+        trailing window, all windows in one ``window`` kernel call.  This is
+        the raw form the compiled-engine backend consumes directly;
+        :meth:`samples` wraps the same columns into
+        :class:`TelemetrySample` objects.
         """
         times = self._sample_times_array(logger_start_s, logger_stop_s)
-        if times.shape[0] == 0:
-            return times.astype(np.int64), times, np.empty((0, 3)), self._period_s
-        timeline = _SegmentTimeline(segments, self._idle_power)
-        if timeline.usable:
-            energies = timeline.energy_between(times - self._period_s, times)
-            powers = energies / self._period_s
-        else:
-            # Overlapping segments: fall back to the per-window scalar average.
-            averages = [
-                _average_power_over(segments, t - self._period_s, t, self._idle_power)
-                for t in times
-            ]
-            powers = np.asarray(
-                [[p.xcd_w, p.iod_w, p.hbm_w] for p in averages], dtype=float
-            )
-        ticks = self._counter.ticks_at_many(times)
-        return ticks, times, powers, self._period_s
-
-    def samples(
-        self,
-        segments: Sequence[PowerSegment],
-        logger_start_s: float,
-        logger_stop_s: float,
-    ) -> list[TelemetrySample]:
-        """Compute the samples the logger would have reported for a recording."""
-        ticks, times, powers, window_s = self.sample_columns(
-            segments, logger_start_s, logger_stop_s
-        )
-        return [
-            TelemetrySample(
-                gpu_timestamp_ticks=int(ticks[i]),
-                window_end_s=float(times[i]),
-                window_s=window_s,
-                power=ComponentPower(
-                    xcd_w=float(powers[i, 0]),
-                    iod_w=float(powers[i, 1]),
-                    hbm_w=float(powers[i, 2]),
-                ),
-            )
-            for i in range(times.shape[0])
-        ]
+        return self._columns(segments, times, self._period_s)
 
 
 class CoarsePowerSampler(AveragingPowerLogger):
@@ -353,7 +263,7 @@ class CoarsePowerSampler(AveragingPowerLogger):
         super().__init__(counter, period_s, idle_power, phase_offset_s)
 
 
-class InstantaneousPowerSampler:
+class InstantaneousPowerSampler(_WindowSampler):
     """An idealised point sampler (no averaging), used for ablations."""
 
     def __init__(
@@ -365,14 +275,7 @@ class InstantaneousPowerSampler:
     ) -> None:
         if period_s <= 0:
             raise ValueError("sampler period must be positive")
-        self._counter = counter
-        self._period_s = period_s
-        self._idle_power = idle_power
-        self._phase_offset_s = phase_offset_s % period_s
-
-    @property
-    def period_s(self) -> float:
-        return self._period_s
+        super().__init__(counter, period_s, idle_power, phase_offset_s)
 
     def sample_columns(
         self,
@@ -385,38 +288,7 @@ class InstantaneousPowerSampler:
         last_index = math.floor((stop_s + 1e-12 - self._phase_offset_s) / self._period_s) + 1
         indices = np.arange(first_index, max(last_index, first_index) + 1)
         times = self._phase_offset_s + indices * self._period_s
-        times = times[times <= stop_s + 1e-12]
-        if times.shape[0] == 0:
-            return times.astype(np.int64), times, np.empty((0, 3)), 0.0
-        timeline = _SegmentTimeline(segments, self._idle_power)
-        if timeline.usable:
-            powers = timeline.power_at(times)
-        else:
-            points = [_instantaneous_power_at(segments, t, self._idle_power) for t in times]
-            powers = np.asarray([[p.xcd_w, p.iod_w, p.hbm_w] for p in points], dtype=float)
-        ticks = self._counter.ticks_at_many(times)
-        return ticks, times, powers, 0.0
-
-    def samples(
-        self,
-        segments: Sequence[PowerSegment],
-        start_s: float,
-        stop_s: float,
-    ) -> list[TelemetrySample]:
-        ticks, times, powers, window_s = self.sample_columns(segments, start_s, stop_s)
-        return [
-            TelemetrySample(
-                gpu_timestamp_ticks=int(ticks[i]),
-                window_end_s=float(times[i]),
-                window_s=window_s,
-                power=ComponentPower(
-                    xcd_w=float(powers[i, 0]),
-                    iod_w=float(powers[i, 1]),
-                    hbm_w=float(powers[i, 2]),
-                ),
-            )
-            for i in range(times.shape[0])
-        ]
+        return self._columns(segments, times[times <= stop_s + 1e-12], 0.0)
 
 
 __all__ = [

@@ -47,9 +47,10 @@ _FASTCORE = "gpu/fastcore.py"
 #: Manifest path relative to the project root (travels with tree copies).
 MANIFEST_REL = "statics/parity_manifest.json"
 
-#: Python kernel -> C function.  The C side folds the ``k_sequence`` entry
-#: point's counter reset into ``fc_sequence`` itself, hence the rename; the
-#: other bodies mirror under their own names.
+#: Python kernel -> C function.  The C side folds the ``k_run`` entry
+#: point's counter reset into ``fc_run`` and exports ``window_core`` as
+#: ``fc_window`` (``k_window`` only forwards), hence the renames; the other
+#: bodies mirror under their own names.
 C_PAIRS: dict[str, str] = {
     "fw_transition": "fw_transition",
     "fw_step": "fw_step",
@@ -57,7 +58,9 @@ C_PAIRS: dict[str, str] = {
     "control_boundary": "control_boundary",
     "idle_core": "idle_core",
     "execute_core": "execute_core",
-    "sequence_core": "fc_sequence",
+    "sequence_core": "sequence_core",
+    "run_core": "fc_run",
+    "window_core": "fc_window",
 }
 
 #: Module-level constant prefixes shared between the Python and C layouts.

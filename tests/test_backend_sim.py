@@ -113,6 +113,33 @@ class TestRun:
         with pytest.raises(ValueError):
             backend.run(kernel, executions=1, pre_delay_s=-1.0)
 
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize(
+        "executions, preceding",
+        [
+            (2, [(mb_gemv(4096), 0)]),
+            (2, [(mb_gemv(4096), -2)]),
+            (2, [(mb_gemv(4096), 2.5)]),
+            (2, [("not-a-kernel", 2)]),
+            (2.5, ()),
+        ],
+        ids=["zero", "negative", "float", "bad-handle", "float-main"],
+    )
+    def test_rejected_run_leaves_device_unchanged(self, spec, kernel, engine, executions,
+                                                   preceding):
+        backend = SimulatedDeviceBackend(spec=spec, seed=9, config=BackendConfig(engine=engine))
+        device = backend.device
+        backend.run(kernel, executions=2, pre_delay_s=0.0)
+        clock = device.now_s()
+        rng_state = device.rng.bit_generator.state
+        events = len(device.firmware_events())
+        with pytest.raises((TypeError, ValueError)):
+            backend.run(kernel, executions=executions, pre_delay_s=1e-4, preceding=preceding)
+        assert device.now_s() == clock
+        assert device.rng.bit_generator.state == rng_state
+        assert len(device.firmware_events()) == events
+        assert device.is_recording is False
+
     def test_coarse_sampler_has_much_longer_period(self, kernel, spec):
         coarse = SimulatedDeviceBackend(
             spec=spec, seed=5, config=BackendConfig(sampler="coarse")

@@ -381,6 +381,7 @@ class TestBackendEquivalence:
             assert backend.device.engine == engine
             if provider is not None:
                 backend.device._fc = PROVIDERS[provider]
+                backend._sampler._fc = PROVIDERS[provider]
             kernel = cb_gemm(1024)
             records = [
                 backend.run(kernel, executions=30, pre_delay_s=i * 0.7e-3, run_index=i)
@@ -393,6 +394,21 @@ class TestBackendEquivalence:
                     pre_delay_s=0.3e-3,
                     run_index=3,
                     preceding=[(mb_gemv(4096), 4)],
+                )
+            )
+            # The main kernel preceding itself (one shared cache slot), no
+            # pre-delay, and two preceding sequences.
+            records.append(
+                backend.run(
+                    kernel, executions=8, pre_delay_s=0.5e-3, run_index=4,
+                    preceding=[(kernel, 3)],
+                )
+            )
+            records.append(backend.run(kernel, executions=12, pre_delay_s=0.0, run_index=5))
+            records.append(
+                backend.run(
+                    kernel, executions=6, pre_delay_s=0.2e-3, run_index=6,
+                    preceding=[(mb_gemv(4096), 2), (cb_gemm(2048), 3)],
                 )
             )
             return records
@@ -448,6 +464,96 @@ class TestBackendEquivalence:
                     assert a.gpu_timestamp_ticks == b.gpu_timestamp_ticks
                     assert a.total_w == b.total_w
                     assert a.components == b.components
+
+
+@pytest.mark.parametrize("case", ["no-execution-jitter", "exact-event-timestamps"])
+def test_unfusable_runs_take_the_object_branch(case, monkeypatch):
+    # Configurations without the four-variates draw never reach the fused
+    # run, and still match the reference engine.
+    import dataclasses
+
+    from repro.gpu.scheduler import LaunchConfig
+
+    descriptor, launch = SHORT, None
+    if case == "no-execution-jitter":
+        variation = dataclasses.replace(SHORT.variation, execution_cv=0.0)
+        descriptor = dataclasses.replace(SHORT, variation=variation)
+    else:
+        launch = LaunchConfig(event_timestamp_error_s=0.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fused run taken")
+
+    monkeypatch.setattr(SimulatedGPU, "instrumented_run", refuse)
+    records = {}
+    for engine in ("compiled", "reference"):
+        backend = SimulatedDeviceBackend(
+            spec=SPEC, seed=5, config=BackendConfig(engine=engine), launch_config=launch
+        )
+        records[engine] = backend.run(
+            descriptor, executions=6, pre_delay_s=0.1e-3, preceding=[(GEMV, 2)]
+        )
+    fast, reference = records["compiled"], records["reference"]
+    assert list(fast.executions) == list(reference.executions)
+    assert list(fast.preceding_executions) == list(reference.preceding_executions)
+    assert fast.anchor == reference.anchor
+    for a, b in zip(fast.readings, reference.readings):
+        assert a.total_w == pytest.approx(b.total_w, rel=POWER_RTOL)
+
+
+def device_state(device):
+    """Everything a run leaves behind on a compiled device, comparable with ==."""
+    firmware = device.firmware
+    control = device._control
+    return (
+        device.now_s(),
+        device.thermal.warmth,
+        firmware._state,
+        firmware._frequency_ghz,
+        firmware._overdraw_accum_s,
+        firmware._throttle_until_s,
+        firmware._idle_accum_s,
+        firmware._last_power_w,
+        (control.energy_j, control.time_s, control.active_time_s),
+        device._next_control_s,
+        dict(device._cache_states),
+        device.executions(),
+        list(device.firmware_events()),
+        device.is_recording,
+        device.rng.bit_generator.state,
+    )
+
+
+class TestOverflowRetry:
+    """Tiny kernel buffers force every grow-and-retry path; nothing may move."""
+
+    @staticmethod
+    def drive(shrink):
+        backend = SimulatedDeviceBackend(
+            spec=SPEC, seed=21, config=BackendConfig(engine="compiled")
+        )
+        device = backend.device
+        if shrink:
+            device._fc_seg = np.empty((3, 5))
+            device._fc_ev = np.empty((1, 4))
+            backend._sampler._cum = np.empty((2, 3))
+        records = [
+            backend.run(
+                cb_gemm(1024), executions=12, pre_delay_s=0.2e-3 * i, run_index=i,
+                preceding=[(mb_gemv(4096), 3)],
+            )
+            for i in range(3)
+        ]
+        return backend, records
+
+    def test_retried_run_is_bit_identical(self):
+        small, small_records = self.drive(shrink=True)
+        default, default_records = self.drive(shrink=False)
+        assert small.device._fc_seg.shape[0] > 3
+        assert small.device._fc_ev.shape[0] > 1
+        assert small._sampler._cum.shape[0] > 2
+        assert small_records == default_records
+        assert device_state(small.device) == device_state(default.device)
 
 
 class TestDescriptorProfileCache:

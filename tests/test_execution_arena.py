@@ -1,7 +1,7 @@
-"""Tests for the execution-record arena and the lazy record views.
+"""Tests for the lazy record views of the compiled-engine backend.
 
-The compiled-engine backend stages launch-sequence timings in an
-:class:`ExecutionArena` and ships power readings as a columnar
+The compiled-engine backend ships launch-sequence timings as a columnar
+:class:`ExecutionTimings` view and power readings as a columnar
 :class:`PowerReadings` view; both must be drop-in replacements for the
 reference path's tuples of frozen record objects -- same values, equality,
 iteration, pickling -- while exposing their arrays to columnar consumers.
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.records import (
-    ExecutionArena,
     ExecutionColumns,
     ExecutionTiming,
     ExecutionTimings,
@@ -136,40 +135,8 @@ class TestPowerReadingsView:
             )
 
 
-class TestExecutionArena:
-    def test_take_snapshots_and_resets(self):
-        arena = ExecutionArena()
-        append_start, append_end = arena.stage("A", 0, 2)
-        append_start(1.0), append_end(2.0)
-        append_start(3.0), append_end(4.0)
-        append_start, append_end = arena.stage("B", 7, 1)
-        append_start(5.0), append_end(6.0)
-        view = arena.take()
-        assert view.kernel_names == ("A", "A", "B")
-        assert view.indices.tolist() == [0, 1, 7]
-        assert view.starts_s.tolist() == [1.0, 3.0, 5.0]
-        assert arena.take() == ()  # reset after the snapshot
-
-    def test_mismatched_staging_detected(self):
-        arena = ExecutionArena()
-        append_start, append_end = arena.stage("A", 0, 2)
-        append_start(1.0), append_end(2.0)
-        with pytest.raises(ValueError):
-            arena.take()
-
-    def test_snapshot_survives_arena_reuse(self):
-        arena = ExecutionArena()
-        append_start, append_end = arena.stage("A", 0, 1)
-        append_start(1.0), append_end(2.0)
-        first = arena.take()
-        append_start, append_end = arena.stage("B", 0, 1)
-        append_start(9.0), append_end(10.0)
-        arena.take()
-        assert first.starts_s.tolist() == [1.0]
-
-
 class TestBackendRecordViews:
-    """The arena path's records must be indistinguishable from the reference."""
+    """The fused path's records must be indistinguishable from the reference."""
 
     @pytest.fixture(scope="class")
     def record_pair(self):

@@ -176,7 +176,8 @@ class TestSelfCheckFailure:
         clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "numba")
         python, _ = fastcore._load_provider("python")
         fake_numba = fastcore.KernelBundle(
-            "numba", python.idle, python.execute, python.sequence, numba_version="0"
+            "numba", python.idle, python.execute, python.run, python.window,
+            numba_version="0",
         )
         clean_fastcore.setattr(
             fastcore, "_load_provider",
@@ -202,13 +203,34 @@ class TestSelfCheckFailure:
             return rc
 
         corrupted = fastcore.KernelBundle(
-            "corrupted", corrupted_idle, bundle.execute, bundle.sequence
+            "corrupted", corrupted_idle, bundle.execute, bundle.run, bundle.window
         )
         failure = fastcore.self_check(corrupted)
         assert failure is not None and "mismatch" in failure
 
     def test_self_check_passes_for_active_provider(self, clean_fastcore):
         assert fastcore.self_check(fastcore.kernels()) is None
+
+
+class TestSelfCheckScenario:
+    def test_scenario_reaches_run_and_window_branches(self):
+        from repro.gpu import _fastcore_kernels as K
+
+        got = fastcore._run_scenario_pure()
+        # The run overflowed its tiny segment buffer before the full retry.
+        assert got["overflow_rc"].tolist() == [1]
+        # Window calls: scratch overflow, nine clean grids, unsorted input.
+        rcs = got["window_rcs"].tolist()
+        assert rcs[0] == 1 and rcs[-1] == 2 and set(rcs[1:-1]) == {0}
+        # Slot 0 is shared by the preceding and the final short sequence.
+        assert got["caches"][0, 0] == 7.0
+        # The park is not recorded: nothing starts between the previous
+        # step's end and the logger start.
+        before_park = got["states"][-2][K.S_NOW]
+        logger_start = got["marks"][0]
+        starts = got["segments"][:, 0]
+        assert logger_start > before_park
+        assert not ((starts >= before_park) & (starts < logger_start)).any()
 
 
 # --------------------------------------------------------------------- #

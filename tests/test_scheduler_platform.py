@@ -57,14 +57,29 @@ class TestKernelLauncher:
             LaunchConfig(launch_latency_s=-1.0).validate()
 
     def test_sequence_timings_match_launch_sequence(self, spec, descriptor):
-        timed = KernelLauncher(SimulatedGPU(spec, seed=77))
-        observed = KernelLauncher(SimulatedGPU(spec, seed=77))
-        timings = timed.sequence_timings(descriptor, executions=6, start_index=3)
-        reference = observed.launch_sequence(descriptor, executions=6, start_index=3)
-        assert [t.index for t in timings] == [o.execution_index for o in reference]
-        assert [t.cpu_start_s for t in timings] == [o.cpu_start_s for o in reference]
-        assert [t.cpu_end_s for t in timings] == [o.cpu_end_s for o in reference]
-        assert all(t.kernel_name == descriptor.name for t in timings)
+        # The fused instrumented run observes the same host timings as the
+        # step-by-step launch loop over the same timeline and RNG stream.
+        fused = SimulatedGPU(spec, seed=77, engine="compiled")
+        stepped = KernelLauncher(SimulatedGPU(spec, seed=77, engine="compiled"))
+        run = fused.instrumented_run(
+            [(descriptor, 6)], LaunchConfig(), 8e-3, 1.5e-3, 0.4e-3, 1.3e-3
+        )
+        device = stepped.device
+        device.park(8e-3)
+        device.start_recording()
+        device.idle(1.5e-3)
+        anchor = device.read_timestamp()
+        device.idle(0.4e-3)
+        variation = device.draw_run_variation(descriptor)
+        reference = stepped.launch_sequence(descriptor, executions=6, run_variation=variation)
+        device.idle(1.3e-3)
+        assert run.segments == device.stop_recording()
+        assert run.anchor == anchor
+        assert run.variations == [variation]
+        assert list(run.cpu_starts) == [o.cpu_start_s for o in reference]
+        assert list(run.cpu_ends) == [o.cpu_end_s for o in reference]
+        assert fused.executions() == [o.ground_truth for o in reference]
+        assert fused.now_s() == device.now_s()
 
 
 def submicrosecond_descriptor(duration_s=0.5e-6):
