@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.profile import ProfileKind, profile_from_lois, profile_from_lois_reference
+from repro.core.profile import ProfileKind, profile_from_lois
 from repro.core.records import LogOfInterest, PowerReading
 from repro.experiments.fig7 import fig7_jobs
 from repro.experiments.sweep import SweepRunner, execute_job
@@ -46,6 +46,8 @@ from repro.experiments.common import FAST_SCALE, make_backend
 from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm
+
+from loi_oracles import profile_from_lois_reference
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_profiler.json"
 #: Floor below the measured arena-vs-object ratio (see module doc).

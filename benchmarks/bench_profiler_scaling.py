@@ -37,14 +37,16 @@ import pytest
 
 from repro.core.binning import ExecutionTimeBinner
 from repro.core.differentiation import build_plan
-from repro.core.profile import ProfileKind, profile_from_lois_reference
+from repro.core.profile import ProfileKind
 from repro.core.profiler import FinGraVProfiler, ProfilerConfig
 from repro.core.records import DelayCalibration, RunRecord
 from repro.core.stitching import ProfileStitcher, mean_duration_or_zero
-from repro.core.timesync import extract_lois_reference, synchronizer_for_run
+from repro.core.timesync import synchronizer_for_run
 from repro.gpu.backend import SimulatedDeviceBackend
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm
+
+from loi_oracles import extract_lois_reference, profile_from_lois_reference
 
 KERNEL_SIZE = 1024
 POOL_SEED = 404

@@ -9,7 +9,14 @@ to time a representative step.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The scalar oracles (tests/loi_oracles.py) that the profiler benchmarks pin
+# the columnar pipeline against live with the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro.core.report import comparative_report
 from repro.experiments import default_scale

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.backend import ProfilingBackend
 from ..core.profile import FineGrainProfile, ProfileKind, profile_from_lois
 from ..core.profiler import FinGraVProfiler
-from ..core.records import COMPONENT_KEYS, LogOfInterest
+from ..core.records import COMPONENT_KEYS, LogOfInterest, RunRecord
 from ..core.stitching import ProfileStitcher
 from ..kernels.workloads import InterleavingScenario
 
@@ -104,14 +104,9 @@ class InterleavingStudy:
         max_runs = max_runs or max(runs * 10, 400)
         period = self._backend.power_sample_period_s
         stitcher = ProfileStitcher(components=self._components)
-        series = None
         durations: list[float] = []
-        run_index = 0
 
-        def loi_count() -> int:
-            return series.count_last_execution_lois() if series is not None else 0
-
-        while run_index < runs or (loi_count() < min_lois and run_index < max_runs):
+        def run_once(run_index: int) -> RunRecord:
             pre_delay = float(self._rng.uniform(0.0, 2.0 * period))
             record = self._backend.run(
                 kernel,
@@ -120,16 +115,18 @@ class InterleavingStudy:
                 run_index=run_index,
                 preceding=tuple(preceding),
             )
-            durations.append(record.last_execution.duration_s)
-            if series is None:
-                series = stitcher.collect([record])
-            else:
-                stitcher.extend(series, [record])
+            durations.append(record.execution_duration_s())
+            return record
+
+        # The first ``runs`` runs are unconditional: stitch them in one pass.
+        # Only the LOI-count-gated top-up runs are stitched one at a time.
+        series = stitcher.collect([run_once(run_index) for run_index in range(runs)])
+        run_index = runs
+        while series.count_last_execution_lois() < min_lois and run_index < max_runs:
+            stitcher.extend(series, [run_once(run_index)])
             run_index += 1
-        lois: list[LogOfInterest] = (
-            series.lois_for_last_execution() if series is not None else []
-        )
-        execution_time = float(np.mean(durations)) if durations else 0.0
+        lois: list[LogOfInterest] = series.lois_for_last_execution()
+        execution_time = float(np.mean(durations))
         return profile_from_lois(
             kernel_name=self._backend.kernel_name(kernel),
             kind=ProfileKind.CUSTOM,

@@ -37,7 +37,6 @@ from .profile import (
     columns_from_lois,
     measurement_error,
     profile_from_lois,
-    profile_from_lois_reference,
 )
 from .profiler import (
     SECTIONS,
@@ -49,7 +48,6 @@ from .profiler import (
 from .records import (
     COMPONENT_KEYS,
     DelayCalibration,
-    ExecutionColumns,
     ExecutionRole,
     ExecutionTiming,
     LogOfInterest,
@@ -72,9 +70,7 @@ from .timesync import (
     ClockSynchronizer,
     NaiveIndexSynchronizer,
     extract_lois,
-    extract_lois_reference,
     extract_lois_unsynchronized,
-    extract_lois_unsynchronized_reference,
     match_execution,
     match_execution_positions,
     synchronizer_for_run,
@@ -112,7 +108,6 @@ __all__ = [
     "columns_from_lois",
     "measurement_error",
     "profile_from_lois",
-    "profile_from_lois_reference",
     "FinGraVProfiler",
     "FinGraVResult",
     "ProfilerConfig",
@@ -120,7 +115,6 @@ __all__ = [
     "normalize_sections",
     "COMPONENT_KEYS",
     "DelayCalibration",
-    "ExecutionColumns",
     "ExecutionRole",
     "ExecutionTiming",
     "LogOfInterest",
@@ -142,9 +136,7 @@ __all__ = [
     "ClockSynchronizer",
     "NaiveIndexSynchronizer",
     "extract_lois",
-    "extract_lois_reference",
     "extract_lois_unsynchronized",
-    "extract_lois_unsynchronized_reference",
     "match_execution",
     "match_execution_positions",
     "synchronizer_for_run",

@@ -65,20 +65,6 @@ class ProfilePoint:
         return component in self.powers_w
 
 
-def point_from_loi(loi: LogOfInterest, components: Sequence[str] = COMPONENT_KEYS) -> ProfilePoint:
-    """Convert a log of interest into a profile point keyed by TOI."""
-    powers = {}
-    for component in components:
-        if loi.reading.has_component(component):
-            powers[component] = loi.reading.component(component)
-    return ProfilePoint(
-        time_s=loi.toi_s,
-        powers_w=powers,
-        run_index=loi.run_index,
-        execution_index=loi.execution_index,
-    )
-
-
 class ProfileColumns:
     """Structure-of-arrays storage behind :class:`FineGrainProfile`.
 
@@ -859,8 +845,7 @@ def profile_from_lois(
     """Build a profile directly from logs of interest (TOI on the x-axis).
 
     The columns are filled straight from the LOIs; no :class:`ProfilePoint`
-    objects are created.  :func:`profile_from_lois_reference` is the retained
-    object-based construction, pinned bit-identical by the equivalence tests.
+    objects are created.
     """
     return FineGrainProfile(
         kernel_name=kernel_name,
@@ -868,29 +853,6 @@ def profile_from_lois(
         execution_time_s=execution_time_s,
         metadata=dict(metadata or {}),
         columns=columns_from_lois(lois, components),
-    )
-
-
-def profile_from_lois_reference(
-    kernel_name: str,
-    kind: ProfileKind,
-    lois: Sequence[LogOfInterest],
-    execution_time_s: float,
-    components: Sequence[str] = COMPONENT_KEYS,
-    metadata: Mapping[str, object] | None = None,
-) -> FineGrainProfile:
-    """Object-based reference construction (one frozen point per LOI).
-
-    Kept as the oracle the equivalence tests and benchmarks pin
-    :func:`profile_from_lois` against; no configuration selects it.
-    """
-    points = tuple(point_from_loi(loi, components) for loi in lois)
-    return FineGrainProfile(
-        kernel_name=kernel_name,
-        kind=kind,
-        points=points,
-        execution_time_s=execution_time_s,
-        metadata=dict(metadata or {}),
     )
 
 
@@ -929,11 +891,9 @@ __all__ = [
     "ProfileColumns",
     "FineGrainProfile",
     "load_npz_payload",
-    "point_from_loi",
     "component_column",
     "columns_from_lois",
     "profile_from_lois",
-    "profile_from_lois_reference",
     "measurement_error",
     "idle_normalized",
 ]

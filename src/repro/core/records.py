@@ -9,6 +9,12 @@ backend would produce the same shapes.
 
 Nothing in this module knows about the simulator -- the methodology never sees
 ground-truth GPU times.
+
+Logs of interest (LOIs) are columnar from extraction to profile: one
+extraction yields one :class:`LoiColumns` chunk, one row per LOI (run and
+execution index, reading position, window end, TOI and TOI fraction).
+:class:`LogOfInterest` objects appear only when a caller asks for them
+(:meth:`LoiColumns.lois`).
 """
 
 from __future__ import annotations
@@ -410,46 +416,6 @@ class ReadingColumns:
 
 
 @dataclass(frozen=True)
-class ExecutionColumns:
-    """Structure-of-arrays view over a run's executions, sorted by start time.
-
-    ``positions[i]`` maps the i-th sorted entry back to its position in the
-    run's ``executions`` tuple, so consumers can recover the original
-    :class:`ExecutionTiming` object after a vectorized match.
-    """
-
-    indices: np.ndarray
-    starts_s: np.ndarray
-    ends_s: np.ndarray
-    positions: np.ndarray
-
-    @property
-    def num_executions(self) -> int:
-        return int(self.indices.shape[0])
-
-    @staticmethod
-    def from_executions(executions: Sequence[ExecutionTiming]) -> "ExecutionColumns":
-        if isinstance(executions, ExecutionTimings):
-            # Columnar source: sort the adopted arrays, no object iteration.
-            starts = executions.starts_s
-            order = np.argsort(starts, kind="stable")
-            return ExecutionColumns(
-                indices=executions.indices[order],
-                starts_s=starts[order],
-                ends_s=executions.ends_s[order],
-                positions=order.astype(np.int64),
-            )
-        starts = np.asarray([e.cpu_start_s for e in executions], dtype=float)
-        order = np.argsort(starts, kind="stable")
-        return ExecutionColumns(
-            indices=np.asarray([executions[i].index for i in order], dtype=np.int64),
-            starts_s=starts[order],
-            ends_s=np.asarray([executions[i].cpu_end_s for i in order], dtype=float),
-            positions=order.astype(np.int64),
-        )
-
-
-@dataclass(frozen=True)
 class RunRecord:
     """Everything collected during one profiling run.
 
@@ -462,7 +428,8 @@ class RunRecord:
     tuples of the record objects (the reference backend path) or the
     tuple-compatible columnar views :class:`PowerReadings` /
     :class:`ExecutionTimings` (the compiled-engine fused path).  Both compare equal
-    element-wise; the ``*_columns`` accessors adopt a view's arrays directly.
+    element-wise; :meth:`reading_columns` and :meth:`execution_arrays` adopt a
+    view's arrays directly.
     """
 
     run_index: int
@@ -516,6 +483,32 @@ class RunRecord:
                     return execution
         raise KeyError(f"run {self.run_index} has no execution with index {index}")
 
+    def execution_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, starts, ends) of the executions in record order.
+
+        A columnar :class:`ExecutionTimings` view hands over its own arrays;
+        no :class:`ExecutionTiming` is materialised.
+        """
+        executions = self.executions
+        if isinstance(executions, ExecutionTimings):
+            return executions.indices, executions.starts_s, executions.ends_s
+        n = len(executions)
+        return (
+            np.fromiter((e.index for e in executions), dtype=np.int64, count=n),
+            np.fromiter((e.cpu_start_s for e in executions), dtype=float, count=n),
+            np.fromiter((e.cpu_end_s for e in executions), dtype=float, count=n),
+        )
+
+    def execution_duration_s(self, index: int | None = None) -> float:
+        """Duration of the execution with ``index`` (the last one when None)."""
+        indices, starts, ends = self.execution_arrays()
+        if not indices.size:
+            raise ValueError("run has no executions")
+        hits = [-1] if index is None else np.flatnonzero(indices == index)
+        if not len(hits):
+            raise KeyError(f"run {self.run_index} has no execution with index {index}")
+        return float(ends[hits[0]] - starts[hits[0]])
+
     def execution_durations(self) -> list[float]:
         executions = self.executions
         if isinstance(executions, ExecutionTimings):
@@ -530,21 +523,12 @@ class RunRecord:
             object.__setattr__(self, "_reading_columns", cached)
         return cached
 
-    def execution_columns(self) -> ExecutionColumns:
-        """Columnar view over the executions (sorted by start), built once."""
-        cached = self.__dict__.get("_execution_columns")
-        if cached is None:
-            cached = ExecutionColumns.from_executions(self.executions)
-            object.__setattr__(self, "_execution_columns", cached)
-        return cached
-
     def __getstate__(self) -> dict:
-        # The cached columnar views are cheap to rebuild but expensive to
-        # serialise (and the reading columns pin materialised objects); keep
-        # them out of pickles so IPC/cache payloads carry only the record data.
+        # The cached reading columns are cheap to rebuild but expensive to
+        # serialise (and may pin materialised objects); keep them out of
+        # pickles so IPC/cache payloads carry only the record data.
         state = dict(self.__dict__)
         state.pop("_reading_columns", None)
-        state.pop("_execution_columns", None)
         return state
 
     def role_of(self, index: int, warmup_executions: int, sse_index: int) -> ExecutionRole:
@@ -585,6 +569,91 @@ class LogOfInterest:
         return self.reading.component(component)
 
 
+@dataclass(eq=False, repr=False)
+class LoiColumns:
+    """The logs of interest of a run sequence as columns, one row per LOI.
+
+    Rows run after run (``runs`` order) and, within a run, by reading
+    position; ``offsets[k]:offsets[k + 1]`` are the rows of ``runs[k]``.
+    ``last_execution_index`` is the owning run's last execution index and
+    ``reading_pos`` the LOI's position in ``run.readings``.
+    """
+
+    runs: tuple[RunRecord, ...]
+    offsets: list[int]
+    run_index: np.ndarray
+    execution_index: np.ndarray
+    last_execution_index: np.ndarray
+    reading_pos: np.ndarray
+    window_end_s: np.ndarray
+    toi_s: np.ndarray
+    toi_fraction: np.ndarray
+    _powers: dict[str, np.ndarray] | None = field(default=None, init=False)
+
+    def __len__(self) -> int:
+        return self.toi_s.shape[0]
+
+    def lois(self, ordinal: int) -> list[LogOfInterest]:
+        """Materialise the LOIs of ``runs[ordinal]``.
+
+        Each LOI holds the run's own reading object (``run.readings`` memoises
+        per position), so the objects equal those a scalar extractor builds.
+        """
+        run = self.runs[ordinal]
+        rows = slice(self.offsets[ordinal], self.offsets[ordinal + 1])
+        readings = run.readings
+        return [
+            LogOfInterest(run.run_index, execution_index, readings[position], end, toi, fraction)
+            for execution_index, position, end, toi, fraction in zip(
+                self.execution_index[rows].tolist(),
+                self.reading_pos[rows].tolist(),
+                self.window_end_s[rows].tolist(),
+                self.toi_s[rows].tolist(),
+                self.toi_fraction[rows].tolist(),
+            )
+        ]
+
+    def power_column(self, component: str) -> np.ndarray | None:
+        """One component's watts per LOI, gathered from :class:`PowerReadings`.
+
+        ``None`` unless every run's readings are columnar views sharing one
+        component layout that carries the component; callers then columnise
+        materialised readings instead.
+        """
+        if self._powers is None:
+            self._powers = self._gather()
+        return self._powers.get(component)
+
+    def _gather(self) -> dict[str, np.ndarray]:
+        views = [run.readings for run in self.runs]
+        names = views[0].component_names if isinstance(views[0], PowerReadings) else None
+        if names is None or not all(
+            isinstance(view, PowerReadings) and view.component_names == names for view in views
+        ):
+            return {}
+        bases = np.cumsum([0] + [len(view) for view in views[:-1]])
+        rows = self.reading_pos + np.repeat(bases, np.diff(self.offsets))
+        components = np.concatenate([view.components_w for view in views])[rows]
+        powers = {"total": np.concatenate([view.total_w for view in views])[rows]}
+        powers.update((name, components[:, j]) for j, name in enumerate(names))
+        return powers
+
+
+@dataclass(slots=True)
+class LoiRows:
+    """One run's rows of a :class:`LoiColumns` chunk (``len`` = LOI count)."""
+
+    columns: LoiColumns
+    ordinal: int
+
+    def __len__(self) -> int:
+        offsets = self.columns.offsets
+        return offsets[self.ordinal + 1] - offsets[self.ordinal]
+
+    def lois(self) -> list[LogOfInterest]:
+        return self.columns.lois(self.ordinal)
+
+
 def mean_duration(executions: Sequence[ExecutionTiming]) -> float:
     """Arithmetic mean of execution durations (0.0 for an empty sequence)."""
     if not executions:
@@ -598,12 +667,13 @@ __all__ = [
     "PowerReadings",
     "ExecutionTimings",
     "ReadingColumns",
-    "ExecutionColumns",
     "ExecutionRole",
     "ExecutionTiming",
     "TimestampAnchor",
     "DelayCalibration",
     "RunRecord",
     "LogOfInterest",
+    "LoiColumns",
+    "LoiRows",
     "mean_duration",
 ]

@@ -422,7 +422,7 @@ class ProfileSession:
         self._batches += 1
         if self._binner is not None and new_records:
             self._binning = self._binner.extend(
-                record.ssp_execution.duration_s for record in new_records
+                record.execution_duration_s() for record in new_records
             )
             self._golden_indices = [
                 self._records[i].run_index for i in self._binning.selected_indices

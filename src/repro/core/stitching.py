@@ -7,6 +7,11 @@ different time of interest thanks to the per-run random delays -- are plotted
 together.  This module performs that stitching for the SSP/SSE profiles (TOI
 on the x-axis) and for the whole-run profiles used by the methodology figures
 (time since the first execution of the run on the x-axis).
+
+A :class:`StitchedRunSeries` keeps one :class:`~repro.core.records.LoiColumns`
+chunk per extraction call; profiles are masks and slices over their columns,
+and :class:`~repro.core.records.LogOfInterest` objects are built only by the
+object views (:meth:`StitchedRunSeries.all_lois` and friends).
 """
 
 from __future__ import annotations
@@ -15,26 +20,19 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .profile import (
-    FineGrainProfile,
-    ProfileColumns,
-    ProfileKind,
-    ProfilePoint,
-    component_column,
-)
+from .profile import FineGrainProfile, ProfileColumns, ProfileKind, component_column
 from .records import (
     COMPONENT_KEYS,
     DelayCalibration,
-    ExecutionTimings,
     LogOfInterest,
-    PowerReading,
+    LoiColumns,
+    LoiRows,
     RunRecord,
 )
 from .timesync import (
-    extract_lois,
     extract_lois_batch,
-    extract_lois_unsynchronized,
     match_execution_positions,
+    run_loi_columns,
     synchronizer_for_run,
 )
 
@@ -44,49 +42,28 @@ class StitchedRunSeries:
 
     The series grows incrementally: :meth:`ProfileStitcher.extend` adds the
     LOIs of newly collected runs without touching previously extracted ones.
-    Flat and per-execution views are maintained as runs are added, and a
-    columnar (run-index / execution-index array) view backs the O(1)-ish LOI
-    counting the profiler's top-up loop performs after every batch.
+    LOIs are stored as the :class:`LoiColumns` chunks the extractor returned
+    (one per extraction call); the stitch-order arrays the profile builds and
+    the profiler's top-up counts read are concatenated once per growth step.
+    :class:`LogOfInterest` objects are materialised only by the object views
+    (:meth:`all_lois`, :attr:`lois_by_run`, ...), memoised per run.
     """
 
-    def __init__(
-        self,
-        kernel_name: str,
-        lois_by_run: Mapping[int, tuple[LogOfInterest, ...]] | None = None,
-        runs: Mapping[int, RunRecord] | None = None,
-    ) -> None:
+    def __init__(self, kernel_name: str) -> None:
         self.kernel_name = kernel_name
-        self._lois_by_run: dict[int, tuple[LogOfInterest, ...]] = {}
         self._runs: dict[int, RunRecord] = {}
-        self._flat: list[LogOfInterest] = []
-        self._by_execution: dict[int, list[LogOfInterest]] = {}
-        self._last_execution: list[LogOfInterest] = []
+        self._rows: dict[int, LoiRows] = {}
         self._reading_match: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Plain-int mirrors of the LOIs' run/execution indices, appended as
-        # runs are added so the count arrays rebuild via a C-speed conversion
-        # instead of re-reading attributes of every LOI object.
-        self._run_index_list: list[int] = []
-        self._exec_index_list: list[int] = []
-        self._run_index_arr: np.ndarray | None = None
-        self._exec_index_arr: np.ndarray | None = None
-        # Columnar LOI storage backing the array-native profile builds: TOI
-        # per LOI, the reading behind each LOI, and the owning run's last
-        # execution index (so "SSP = last execution" masks are one compare).
-        self._toi_list: list[float] = []
-        self._flat_readings: list[PowerReading] = []
-        self._last_exec_list: list[int] = []
-        self._toi_arr: np.ndarray | None = None
-        self._last_exec_arr: np.ndarray | None = None
+        self._chunks: list[LoiColumns] = []
+        self._num_lois = 0
+        self._num_last = 0
+        self._lois: dict[int, tuple[LogOfInterest, ...]] = {}
+        self._arrays: dict[str, np.ndarray] = {}
         self._power_columns: dict[str, tuple[np.ndarray, np.ndarray | None] | None] = {}
-        for run_index, run in dict(runs or {}).items():
-            self.add_run(run, (lois_by_run or {}).get(run_index, ()))
 
-    # ------------------------------------------------------------------ #
-    # Mapping-style views (kept for API compatibility).
-    # ------------------------------------------------------------------ #
     @property
     def lois_by_run(self) -> Mapping[int, tuple[LogOfInterest, ...]]:
-        return self._lois_by_run
+        return {run_index: self._lois_of(run_index) for run_index in self._runs}
 
     @property
     def runs(self) -> Mapping[int, RunRecord]:
@@ -94,46 +71,40 @@ class StitchedRunSeries:
 
     @property
     def num_lois(self) -> int:
-        return len(self._flat)
+        return self._num_lois
 
     # ------------------------------------------------------------------ #
     # Incremental growth.
     # ------------------------------------------------------------------ #
-    def add_run(
+    def add_chunk(
         self,
-        run: RunRecord,
-        lois: Iterable[LogOfInterest],
-        reading_match: tuple[np.ndarray, np.ndarray] | None = None,
+        columns: LoiColumns,
+        reading_matches: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> None:
-        """Record one run's LOIs, updating every cached view incrementally.
+        """Stitch in the runs of one extraction and their LOI columns.
 
-        ``reading_match`` optionally carries the (window-end times, matched
-        execution positions) arrays produced by the batched extractor, which
+        ``reading_matches`` optionally carries each run's (window-end times,
+        matched execution positions) arrays from the batched extractor, which
         profile builders reuse instead of re-matching every reading.
         """
-        if run.run_index in self._runs:
-            raise ValueError(f"run {run.run_index} already stitched into this series")
-        lois = tuple(lois)
-        self._runs[run.run_index] = run
-        self._lois_by_run[run.run_index] = lois
-        if reading_match is not None:
-            self._reading_match[run.run_index] = reading_match
-        self._flat.extend(lois)
-        last_index = run.last_execution.index if run.executions else None
-        for loi in lois:
-            self._run_index_list.append(loi.run_index)
-            self._exec_index_list.append(loi.execution_index)
-            self._toi_list.append(loi.toi_s)
-            self._flat_readings.append(loi.reading)
-            self._last_exec_list.append(last_index if last_index is not None else -1)
-            self._by_execution.setdefault(loi.execution_index, []).append(loi)
-            if last_index is not None and loi.execution_index == last_index:
-                self._last_execution.append(loi)
-        if lois:
-            self._run_index_arr = None
-            self._exec_index_arr = None
-            self._toi_arr = None
-            self._last_exec_arr = None
+        new_indices = [run.run_index for run in columns.runs]
+        seen: set[int] = set()
+        for run_index in new_indices:
+            if run_index in self._runs or run_index in seen:
+                raise ValueError(f"run {run_index} already stitched into this series")
+            seen.add(run_index)
+        for ordinal, run in enumerate(columns.runs):
+            self._runs[run.run_index] = run
+            self._rows[run.run_index] = LoiRows(columns, ordinal)
+        if reading_matches is not None:
+            self._reading_match.update(zip(new_indices, reading_matches))
+        self._chunks.append(columns)
+        if len(columns):
+            self._num_lois += len(columns)
+            self._num_last += int(
+                np.count_nonzero(columns.execution_index == columns.last_execution_index)
+            )
+            self._arrays.clear()
             self._power_columns.clear()
 
     def reading_match(self, run_index: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -141,45 +112,60 @@ class StitchedRunSeries:
         return self._reading_match.get(run_index)
 
     # ------------------------------------------------------------------ #
-    # LOI views.
+    # LOI object views.
     # ------------------------------------------------------------------ #
+    def _lois_of(self, run_index: int) -> tuple[LogOfInterest, ...]:
+        lois = self._lois.get(run_index)
+        if lois is None:
+            lois = self._lois[run_index] = tuple(self._rows[run_index].lois())
+        return lois
+
     def all_lois(self) -> list[LogOfInterest]:
-        return list(self._flat)
+        return [loi for run_index in self._runs for loi in self._lois_of(run_index)]
+
+    def _select(self, mask: np.ndarray) -> list[LogOfInterest]:
+        return [loi for loi, keep in zip(self.all_lois(), mask.tolist()) if keep]
 
     def lois_for_execution(self, execution_index: int) -> list[LogOfInterest]:
-        return list(self._by_execution.get(execution_index, ()))
+        return self._select(self._column("execution_index") == execution_index)
 
     def lois_for_last_execution(self) -> list[LogOfInterest]:
-        return list(self._last_execution)
+        return self._select(self._last_execution_mask())
 
     def lois_from_execution(self, min_execution_index: int) -> list[LogOfInterest]:
         """All LOIs whose execution index is at or past ``min_execution_index``."""
-        return [loi for loi in self._flat if loi.execution_index >= min_execution_index]
+        return self._select(self._column("execution_index") >= min_execution_index)
 
     # ------------------------------------------------------------------ #
-    # Columnar counting (the profiler's shortfall checks).
+    # Columnar views and counts (profile builds, the profiler's top-up).
     # ------------------------------------------------------------------ #
-    def _loi_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._run_index_arr is None or self._exec_index_arr is None:
-            self._run_index_arr = np.asarray(self._run_index_list, dtype=np.int64)
-            self._exec_index_arr = np.asarray(self._exec_index_list, dtype=np.int64)
-        return self._run_index_arr, self._exec_index_arr
+    def _column(self, name: str) -> np.ndarray:
+        """One LOI column over the whole series, in stitch order (cached)."""
+        column = self._arrays.get(name)
+        if column is None:
+            parts = [getattr(chunk, name) for chunk in self._chunks if len(chunk)]
+            if not parts:
+                dtype = float if name == "toi_s" else np.int64
+                column = np.zeros(0, dtype=dtype)
+            else:
+                column = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            self._arrays[name] = column
+        return column
+
+    def _last_execution_mask(self) -> np.ndarray:
+        return self._column("execution_index") == self._column("last_execution_index")
 
     def loi_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(run_index, execution_index) arrays over all LOIs, in stitch order."""
-        return self._loi_arrays()
+        return self._column("run_index"), self._column("execution_index")
 
     def loi_toi_array(self) -> np.ndarray:
         """Times of interest over all LOIs, in stitch order."""
-        if self._toi_arr is None:
-            self._toi_arr = np.asarray(self._toi_list, dtype=float)
-        return self._toi_arr
+        return self._column("toi_s")
 
     def loi_last_execution_array(self) -> np.ndarray:
         """Per-LOI last-execution index of the LOI's own run, in stitch order."""
-        if self._last_exec_arr is None:
-            self._last_exec_arr = np.asarray(self._last_exec_list, dtype=np.int64)
-        return self._last_exec_arr
+        return self._column("last_execution_index")
 
     def loi_power_column(
         self, component: str
@@ -188,15 +174,20 @@ class StitchedRunSeries:
 
         The mask is ``None`` when the component is present in every LOI's
         reading; the whole return is ``None`` when it is present in none.
-        Columns are built once per component and invalidated when runs are
-        added, so repeated profile builds over the same series are array
-        slices, not per-LOI attribute walks.
+        Columnar readings are gathered by index; otherwise the LOIs' reading
+        objects go through :func:`component_column`.  Columns are built once
+        per component and invalidated when runs are added.
         """
-        if component in self._power_columns:
-            return self._power_columns[component]
-        column = component_column(self._flat_readings, component)
-        self._power_columns[component] = column
-        return column
+        if component not in self._power_columns:
+            parts = [chunk.power_column(component) for chunk in self._chunks if len(chunk)]
+            if all(part is not None for part in parts):
+                values = np.concatenate(parts) if parts else np.zeros(0, dtype=float)
+                column = (values, None)
+            else:
+                readings = [loi.reading for loi in self.all_lois()]
+                column = component_column(readings, component)
+            self._power_columns[component] = column
+        return self._power_columns[component]
 
     def count_lois(
         self,
@@ -206,23 +197,30 @@ class StitchedRunSeries:
     ) -> int:
         """Count LOIs matching the given execution/run filters without
         materialising intermediate lists."""
-        run_idx, exec_idx = self._loi_arrays()
+        run_idx, exec_idx = self.loi_index_arrays()
         mask = np.ones(run_idx.shape, dtype=bool)
         if min_execution_index is not None:
             mask &= exec_idx >= min_execution_index
         if execution_index is not None:
             mask &= exec_idx == execution_index
         if golden_runs is not None:
-            wanted = np.fromiter((int(i) for i in golden_runs), dtype=np.int64)
-            mask &= np.isin(run_idx, wanted)
+            mask &= _in_runs(run_idx, golden_runs)
         return int(np.count_nonzero(mask))
 
     def count_last_execution_lois(self, golden_runs: Iterable[int] | None = None) -> int:
-        """Count LOIs of each run's last execution, optionally golden-only."""
+        """Count LOIs of each run's last execution, optionally golden-only.
+
+        Unfiltered, this is a running total kept as chunks are added (O(1)).
+        """
         if golden_runs is None:
-            return len(self._last_execution)
-        wanted = set(golden_runs)
-        return sum(1 for loi in self._last_execution if loi.run_index in wanted)
+            return self._num_last
+        mask = self._last_execution_mask() & _in_runs(self._column("run_index"), golden_runs)
+        return int(np.count_nonzero(mask))
+
+
+def _in_runs(run_idx: np.ndarray, runs: Iterable[int]) -> np.ndarray:
+    wanted = np.fromiter((int(i) for i in runs), dtype=np.int64)
+    return np.isin(run_idx, wanted)
 
 
 class ProfileStitcher:
@@ -245,9 +243,6 @@ class ProfileStitcher:
         self._calibration = calibration
         self._synchronize = synchronize
 
-    @property
-    def synchronize(self) -> bool:
-        return self._synchronize
     @property
     def synchronize(self) -> bool:
         return self._synchronize
@@ -283,17 +278,15 @@ class ProfileStitcher:
             synchronize=self._synchronize,
         )
         if batch is not None:
-            for run, (lois, match) in zip(runs, batch):
-                series.add_run(run, lois, reading_match=match)
+            if batch:
+                # Every run's rows share the call's one LoiColumns chunk.
+                series.add_chunk(batch[0][0].columns, [match for _, match in batch])
             return
         for run in runs:
-            series.add_run(run, self._extract(run))
+            series.add_chunk(self._extract(run))
 
-    def _extract(self, run: RunRecord) -> list[LogOfInterest]:
-        if self._synchronize:
-            return extract_lois(run, synchronizer_for_run(run, self._calibration))
-        logger_start = float(run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s))
-        return extract_lois_unsynchronized(run, logger_start)
+    def _extract(self, run: RunRecord) -> LoiColumns:
+        return run_loi_columns(run, self._window_end_times(run))
 
     # ------------------------------------------------------------------ #
     # Execution-level (SSP/SSE) profiles.
@@ -444,13 +437,6 @@ class ProfileStitcher:
         cached_match: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> ProfileColumns:
         """One run's whole-run profile rows as a column bundle (no points)."""
-        reading_columns = run.reading_columns()
-        if not reading_columns.uniform_components:
-            # Readings disagree on their component sets; per-reading presence
-            # needs the scalar path.  Columnise its points.
-            return ProfileColumns.from_points(
-                self._run_points(run, origin_cpu_s, include_idle, cached_match)
-            )
         if cached_match is not None:
             times, positions = cached_match
         else:
@@ -463,20 +449,24 @@ class ProfileStitcher:
             span_start = run.first_execution.cpu_start_s
             span_end = run.last_execution.cpu_end_s
             keep = np.nonzero((times >= span_start) & (times <= span_end))[0]
-        available = reading_columns.powers_w
-        powers = {
-            component: available[component][keep]
-            for component in self._components
-            if component in available
-        }
-        if isinstance(run.executions, ExecutionTimings):
-            exec_index_by_pos = run.executions.indices
-        else:
-            exec_index_by_pos = np.fromiter(
-                (execution.index for execution in run.executions),
-                dtype=np.int64,
-                count=len(run.executions),
-            )
+        reading_columns = run.reading_columns()
+        powers: dict[str, np.ndarray] = {}
+        masks: dict[str, np.ndarray] = {}
+        if reading_columns.uniform_components:
+            available = reading_columns.powers_w
+            for component in self._components:
+                if component in available:
+                    powers[component] = available[component][keep]
+        elif keep.size:
+            # Readings disagree on their component sets: per-reading presence.
+            readings = [run.readings[i] for i in keep.tolist()]
+            for component in self._components:
+                column = component_column(readings, component)
+                if column is not None:
+                    powers[component], mask = column
+                    if mask is not None:
+                        masks[component] = mask
+        exec_index_by_pos = run.execution_arrays()[0]
         kept_positions = np.asarray(positions, dtype=np.int64)[keep]
         execution_index = np.where(
             kept_positions >= 0,
@@ -488,6 +478,7 @@ class ProfileStitcher:
             run_index=np.full(keep.shape[0], run.run_index, dtype=np.int64),
             execution_index=execution_index,
             powers_w=powers,
+            masks=masks,
         )
 
     def _window_end_times(self, run: RunRecord) -> np.ndarray:
@@ -498,56 +489,6 @@ class ProfileStitcher:
             run.metadata.get("logger_start_cpu_s", run.anchor.cpu_time_after_s)
         )
         return logger_start + np.arange(1, len(run.readings) + 1) * run.logger_period_s
-
-    def _run_points(
-        self,
-        run: RunRecord,
-        origin_cpu_s: float,
-        include_idle: bool,
-        cached_match: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> list[ProfilePoint]:
-        if cached_match is not None:
-            # Window-end times and execution matches were already computed by
-            # the batched extractor; reuse them.
-            times, positions = cached_match
-        else:
-            times = self._window_end_times(run)
-            positions = match_execution_positions(run, times)
-        span_start = run.first_execution.cpu_start_s
-        span_end = run.last_execution.cpu_end_s
-        # Fast path for the common case where every reading carries exactly
-        # the configured components: one dict copy instead of per-component
-        # lookups, with values equal to the slow path's.
-        wanted_nontotal = None
-        if run.readings and "total" in self._components:
-            first = run.readings[0].components
-            if (len(first) == len(self._components) - 1
-                    and all(c == "total" or c in first for c in self._components)):
-                wanted_nontotal = set(self._components) - {"total"}
-        points: list[ProfilePoint] = []
-        for i, reading in enumerate(run.readings):
-            window_end = float(times[i])
-            inside = span_start <= window_end <= span_end
-            if not inside and not include_idle:
-                continue
-            if wanted_nontotal is not None and reading.components.keys() == wanted_nontotal:
-                powers: dict[str, float] = {"total": reading.total_w, **reading.components}
-            else:
-                powers = {}
-                for component in self._components:
-                    if reading.has_component(component):
-                        powers[component] = reading.component(component)
-            position = int(positions[i])
-            execution_index = run.executions[position].index if position >= 0 else -1
-            points.append(
-                ProfilePoint(
-                    time_s=window_end - origin_cpu_s,
-                    powers_w=powers,
-                    run_index=run.run_index,
-                    execution_index=execution_index,
-                )
-            )
-        return points
 
     # ------------------------------------------------------------------ #
     # Helpers.
@@ -603,19 +544,17 @@ class ProfileStitcher:
         series: StitchedRunSeries, golden_runs: Sequence[int] | None, which: int | str
     ) -> float:
         selected = set(golden_runs) if golden_runs is not None else None
+        index = None if which == "last" else int(which)
         durations: list[float] = []
         for run_index, run in series.runs.items():
             if selected is not None and run_index not in selected:
                 continue
             if not run.executions:
                 continue
-            if which == "last":
-                durations.append(run.last_execution.duration_s)
-            else:
-                try:
-                    durations.append(run.execution(int(which)).duration_s)
-                except KeyError:
-                    continue
+            try:
+                durations.append(run.execution_duration_s(index))
+            except KeyError:
+                continue
         return mean_duration_or_zero(durations)
 
 

@@ -13,12 +13,16 @@ With the mapping in hand, each power reading's averaging window can be placed
 on the CPU timeline, matched to the execution it overlaps (the log of
 interest, LOI) and to the position within that execution where the window
 ended (the time of interest, TOI).
+
+Extraction is columnar: :func:`extract_lois_batch` (many runs, one pass) and
+:func:`run_loi_columns` (one run) return :class:`~repro.core.records.LoiColumns`
+through one helper; :func:`extract_lois` and :func:`extract_lois_unsynchronized`
+materialise :class:`~repro.core.records.LogOfInterest` objects from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,9 +30,10 @@ import numpy as np
 from .records import (
     DelayCalibration,
     ExecutionTiming,
-    ExecutionTimings,
     LogOfInterest,
-    PowerReading,
+    LoiColumns,
+    LoiRows,
+    PowerReadings,
     RunRecord,
     TimestampAnchor,
 )
@@ -95,11 +100,6 @@ class NaiveIndexSynchronizer:
     logger_start_cpu_s: float
     period_s: float
 
-    def cpu_time_of_index(self, sample_index: int) -> float:
-        if sample_index < 0:
-            raise ValueError("sample index must be non-negative")
-        return self.logger_start_cpu_s + (sample_index + 1) * self.period_s
-
     def cpu_times_of_indices(self, num_samples: int) -> np.ndarray:
         """Vectorized window-end times of samples ``0..num_samples-1``."""
         if num_samples < 0:
@@ -122,33 +122,33 @@ def match_execution_positions(run: RunRecord, cpu_times_s: np.ndarray) -> np.nda
 
     Returns, for every time, the position into ``run.executions`` of the
     execution whose (inclusive) span contains it, or ``-1`` when the time
-    falls into idle.  Each time is matched against the sorted execution
-    start/end arrays with one :func:`np.searchsorted`; a time landing exactly
-    on a boundary shared by two back-to-back executions is attributed to the
+    falls into idle.  Each time is matched against the execution start/end
+    arrays with one :func:`np.searchsorted`; a time landing exactly on a
+    boundary shared by two back-to-back executions is attributed to the
     earlier one, matching the scalar first-match semantics for chronologically
     ordered executions.
     """
     times = np.asarray(cpu_times_s, dtype=float)
-    result = np.full(times.shape, -1, dtype=np.int64)
     if not run.executions or times.size == 0:
-        return result
-    cols = run.execution_columns()
-    starts, ends = cols.starts_s, cols.ends_s
-    if cols.num_executions > 1 and bool(
-        np.any(np.diff(ends) < 0)
-        or np.any(cols.positions != np.arange(cols.num_executions))
-    ):
-        # Nested executions or a non-chronological tuple: binary search cannot
-        # reproduce first-match semantics, fall back to the scalar scan.
-        for i, t in enumerate(times):
-            execution = match_execution(run.executions, float(t))
-            if execution is not None:
-                result[i] = run.executions.index(execution)
-        return result
-    pos = _first_containing_positions(starts, ends, times)
-    valid = pos >= 0
-    result[valid] = cols.positions[pos[valid]]
+        return np.full(times.shape, -1, dtype=np.int64)
+    _, starts, ends = run.execution_arrays()
+    if _chronological(starts, ends):
+        return _first_containing_positions(starts, ends, times)
+    # Nested executions or a non-chronological tuple: binary search cannot
+    # reproduce first-match semantics, fall back to the scalar scan.
+    result = np.full(times.shape, -1, dtype=np.int64)
+    for i, t in enumerate(times):
+        execution = match_execution(run.executions, float(t))
+        if execution is not None:
+            result[i] = run.executions.index(execution)
     return result
+
+
+def _chronological(starts: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether execution starts *and* ends are both non-decreasing."""
+    return starts.shape[0] < 2 or not bool(
+        np.any(np.diff(starts) < 0) or np.any(np.diff(ends) < 0)
+    )
 
 
 def _first_containing_positions(
@@ -183,63 +183,101 @@ def _first_containing_positions(
     return np.where(valid, pos, -1)
 
 
-def _lois_from_window_ends(
-    run: RunRecord, window_ends: np.ndarray, wanted: set[int] | None
-) -> list[LogOfInterest]:
-    """Turn matched window-end times into :class:`LogOfInterest` objects."""
-    positions = match_execution_positions(run, window_ends)
-    lois: list[LogOfInterest] = []
-    for i in np.nonzero(positions >= 0)[0]:
-        execution = run.executions[positions[i]]
-        if wanted is not None and execution.index not in wanted:
-            continue
-        lois.append(_loi_from(run.run_index, run.readings[i], float(window_ends[i]), execution))
-    return lois
+def _reading_ticks(run: RunRecord) -> np.ndarray:
+    """The readings' timestamp ticks, straight from a :class:`PowerReadings` view."""
+    readings = run.readings
+    if isinstance(readings, PowerReadings):
+        return readings.gpu_timestamp_ticks
+    return np.fromiter(
+        (reading.gpu_timestamp_ticks for reading in readings), dtype=np.int64, count=len(readings)
+    )
 
 
-def _loi_from(
-    run_index: int,
-    reading: PowerReading,
-    window_end_cpu_s: float,
-    execution: ExecutionTiming,
-) -> LogOfInterest:
-    toi = window_end_cpu_s - execution.cpu_start_s
-    duration = execution.duration_s
-    fraction = toi / duration if duration > 0 else 0.0
-    return LogOfInterest(
-        run_index=run_index,
-        execution_index=execution.index,
-        reading=reading,
-        window_end_cpu_s=window_end_cpu_s,
+def _offsets(counts: Sequence[int]) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _loi_columns(
+    runs: Sequence[RunRecord],
+    executions: tuple[np.ndarray, np.ndarray, np.ndarray],
+    exec_offsets: np.ndarray,
+    reading_offsets: np.ndarray,
+    times: np.ndarray,
+    positions: np.ndarray,
+    wanted: set[int] | None = None,
+) -> LoiColumns:
+    """The LOI columns of ``runs`` -- the one place TOIs are computed.
+
+    ``executions`` holds the runs' execution (indices, starts, ends), run
+    after run (``exec_offsets`` bound each run); ``times`` holds every
+    reading's window-end CPU time, run after run (``reading_offsets``), and
+    ``positions`` its matched execution as an index into ``executions`` (-1
+    for idle).  ``wanted`` keeps only LOIs of those execution indices.  Per
+    LOI: ``toi = end - start`` and ``fraction = toi / duration`` (0 for a
+    zero-length execution) clipped to [0, 1]; a negative TOI or a non-finite
+    fraction raises :class:`ValueError`.
+    """
+    indices, starts, ends = executions
+    rows = np.flatnonzero(positions >= 0)
+    matched = positions[rows]
+    execution_index = indices[matched]
+    if wanted is not None:
+        keep = np.isin(execution_index, np.fromiter(wanted, dtype=np.int64, count=len(wanted)))
+        rows, matched, execution_index = rows[keep], matched[keep], execution_index[keep]
+    start = starts[matched]
+    duration = ends[matched] - start
+    toi = times[rows] - start
+    fraction = np.divide(toi, duration, out=np.zeros_like(toi), where=duration > 0)
+    np.clip(fraction, 0.0, 1.0, out=fraction)
+    if np.any(toi < 0):
+        raise ValueError("time of interest cannot be negative")
+    if not np.isfinite(fraction).all():
+        raise ValueError("toi_fraction must be finite")
+    owner = np.searchsorted(reading_offsets, rows, side="right") - 1
+    run_index = np.fromiter((run.run_index for run in runs), dtype=np.int64, count=len(runs))
+    return LoiColumns(
+        runs=tuple(runs),
+        offsets=_offsets(np.bincount(owner, minlength=len(runs))).tolist(),
+        run_index=run_index[owner],
+        execution_index=execution_index,
+        last_execution_index=indices[exec_offsets[owner + 1] - 1],
+        reading_pos=rows - reading_offsets[owner],
+        window_end_s=times[rows],
         toi_s=toi,
-        toi_fraction=min(max(fraction, 0.0), 1.0),
+        toi_fraction=fraction,
     )
 
 
-def _execution_starts(run: RunRecord) -> np.ndarray:
-    """Execution start times in record order, without materialising objects."""
-    executions = run.executions
-    if isinstance(executions, ExecutionTimings):
-        return executions.starts_s
-    return np.fromiter(
-        map(attrgetter("cpu_start_s"), executions), dtype=float, count=len(executions)
+def run_loi_columns(
+    run: RunRecord,
+    window_ends_s: np.ndarray,
+    execution_indices: Iterable[int] | None = None,
+) -> LoiColumns:
+    """One run's LOI columns, given its readings' window-end CPU times.
+
+    Matches through :func:`match_execution_positions`, so nested or
+    non-chronological executions keep the scalar first-match semantics.
+    """
+    wanted = set(execution_indices) if execution_indices is not None else None
+    times = np.asarray(window_ends_s, dtype=float)
+    executions = run.execution_arrays()
+    return _loi_columns(
+        (run,),
+        executions,
+        _offsets([executions[0].shape[0]]),
+        _offsets([times.shape[0]]),
+        times,
+        match_execution_positions(run, times),
+        wanted,
     )
 
 
-def _execution_ends(run: RunRecord) -> np.ndarray:
-    """Execution end times in record order, without materialising objects."""
-    executions = run.executions
-    if isinstance(executions, ExecutionTimings):
-        return executions.ends_s
-    return np.fromiter(
-        map(attrgetter("cpu_end_s"), executions), dtype=float, count=len(executions)
-    )
-
-
-#: Per-run result of a batched extraction: the LOIs plus the reading-match
-#: cache (window-end CPU times and matched execution positions, -1 for idle)
-#: that profile builders reuse to avoid re-matching readings.
-BatchExtraction = tuple[list[LogOfInterest], tuple[np.ndarray, np.ndarray]]
+#: Per-run result of a batched extraction: the run's LOI rows (``len`` is its
+#: LOI count; every run's rows share the call's one :class:`LoiColumns`
+#: chunk) plus the reading-match cache (window-end CPU times and matched
+#: execution positions, -1 for idle) that profile builders reuse to avoid
+#: re-matching readings.
+BatchExtraction = tuple[LoiRows, tuple[np.ndarray, np.ndarray]]
 
 
 def extract_lois_batch(
@@ -252,8 +290,9 @@ def extract_lois_batch(
     All runs' readings are mapped to CPU time and matched against a single
     concatenated execution table with one binary search; a run-ownership check
     keeps a reading from ever matching another run's execution, so results
-    are bit-identical to per-run extraction.  Requires every run to have
-    executions, the concatenated execution starts *and* ends to be
+    are bit-identical to per-run extraction.  The LOIs come back as one
+    :class:`LoiColumns` chunk; no per-LOI object is built.  Requires every run
+    to have executions, the concatenated execution starts *and* ends to be
     non-decreasing (true for records produced by a backend even when
     host-observation jitter makes back-to-back executions overlap slightly),
     and the runs' overall execution spans to be disjoint.  Returns ``None``
@@ -264,15 +303,14 @@ def extract_lois_batch(
     exec_counts = [run.num_executions for run in runs]
     if min(exec_counts) == 0:
         return None
-    starts = np.concatenate([_execution_starts(run) for run in runs])
-    ends = np.concatenate([_execution_ends(run) for run in runs])
-    if starts.shape[0] > 1 and bool(
-        np.any(np.diff(starts) < 0) or np.any(np.diff(ends) < 0)
-    ):
+    per_run = [run.execution_arrays() for run in runs]
+    executions = tuple(np.concatenate(column) for column in zip(*per_run))
+    _, starts, ends = executions
+    if not _chronological(starts, ends):
         return None
     reading_counts = [len(run.readings) for run in runs]
-    reading_offsets = np.concatenate([[0], np.cumsum(reading_counts)])
-    exec_offsets = np.concatenate([[0], np.cumsum(exec_counts)])
+    reading_offsets = _offsets(reading_counts)
+    exec_offsets = _offsets(exec_counts)
     if len(runs) > 1:
         # Runs' execution spans must be disjoint: an execution of one run
         # overlapping another run's span would block the same-group back-walk
@@ -285,22 +323,17 @@ def extract_lois_batch(
     reading_owner = np.repeat(run_ordinals, reading_counts)
     exec_owner = np.repeat(run_ordinals, exec_counts)
 
-    # The per-run columnar views (cached on the records and reused by every
-    # later profile build) supply the ticks; reading *objects* are touched
-    # only for the few matched LOIs below.
-    ticks = np.concatenate(
-        [run.reading_columns().gpu_timestamp_ticks for run in runs]
-    )
     if synchronize:
-        capture = np.asarray(
-            [
-                synchronizer_for_run(run, calibration).anchor_capture_cpu_s
-                for run in runs
-            ],
-            dtype=float,
-        )
-        anchor_ticks = np.asarray([run.anchor.gpu_ticks for run in runs], dtype=np.int64)
-        frequency = np.asarray([run.counter_frequency_hz for run in runs], dtype=float)
+        # ClockSynchronizer.anchor_capture_cpu_s and cpu_times_of, per run.
+        round_trip = np.array([run.anchor.round_trip_s for run in runs])
+        read_start = np.array([run.anchor.cpu_time_after_s for run in runs]) - round_trip
+        if calibration is not None:
+            capture = read_start + calibration.one_way_delay_s
+        else:
+            capture = read_start + round_trip / 2.0
+        anchor_ticks = np.array([run.anchor.gpu_ticks for run in runs], dtype=np.int64)
+        frequency = np.array([run.counter_frequency_hz for run in runs], dtype=float)
+        ticks = np.concatenate([_reading_ticks(run) for run in runs])
         delta = ticks - np.repeat(anchor_ticks, reading_counts)
         times = np.repeat(capture, reading_counts) + delta / np.repeat(
             frequency, reading_counts
@@ -314,7 +347,7 @@ def extract_lois_batch(
             dtype=float,
         )
         period = np.asarray([run.logger_period_s for run in runs], dtype=float)
-        sample_index = np.arange(ticks.shape[0]) - np.repeat(
+        sample_index = np.arange(reading_offsets[-1]) - np.repeat(
             reading_offsets[:-1], reading_counts
         )
         times = np.repeat(logger_start, reading_counts) + (
@@ -324,31 +357,12 @@ def extract_lois_batch(
     pos = _first_containing_positions(
         starts, ends, times, same_group=exec_owner, group_of_time=reading_owner
     )
+    columns = _loi_columns(runs, executions, exec_offsets, reading_offsets, times, pos)
     local_positions = np.where(pos >= 0, pos - exec_offsets[reading_owner], -1)
-
-    # Build the (few) LOI objects in one global pass, then slice the
-    # reading-match arrays per run.
-    lois_per_run: list[list[LogOfInterest]] = [[] for _ in runs]
-    for i in np.nonzero(pos >= 0)[0]:
-        ordinal = reading_owner[i]
-        run = runs[ordinal]
-        lois_per_run[ordinal].append(
-            _loi_from(
-                run.run_index,
-                run.readings[i - reading_offsets[ordinal]],
-                float(times[i]),
-                run.executions[local_positions[i]],
-            )
-        )
+    bounds = reading_offsets.tolist()
     return [
-        (
-            lois_per_run[ordinal],
-            (
-                times[reading_offsets[ordinal]:reading_offsets[ordinal + 1]],
-                local_positions[reading_offsets[ordinal]:reading_offsets[ordinal + 1]],
-            ),
-        )
-        for ordinal in range(len(runs))
+        (LoiRows(columns, ordinal), (times[lo:hi], local_positions[lo:hi]))
+        for ordinal, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
 
 
@@ -365,39 +379,11 @@ def extract_lois(
     executions (e.g. only the SSP execution).
 
     All readings are mapped to CPU time in one array operation and matched
-    against the sorted execution spans with a single binary search; the result
-    is bit-identical to :func:`extract_lois_reference`.
+    against the sorted execution spans with a single binary search; the
+    objects are materialised from :func:`run_loi_columns`.
     """
-    wanted = set(execution_indices) if execution_indices is not None else None
-    columns = run.reading_columns()
-    if columns.num_readings == 0:
-        return []
-    window_ends = synchronizer.cpu_times_of(columns.gpu_timestamp_ticks)
-    return _lois_from_window_ends(run, window_ends, wanted)
-
-
-def extract_lois_reference(
-    run: RunRecord,
-    synchronizer: ClockSynchronizer,
-    execution_indices: Iterable[int] | None = None,
-) -> list[LogOfInterest]:
-    """Pure-Python reference implementation of :func:`extract_lois`.
-
-    One reading at a time, one linear execution scan per reading.  Kept as
-    the oracle the equivalence tests and benchmarks pin the array-based path
-    against; no configuration selects it.
-    """
-    wanted = set(execution_indices) if execution_indices is not None else None
-    lois: list[LogOfInterest] = []
-    for reading in run.readings:
-        window_end = synchronizer.cpu_time_of(reading.gpu_timestamp_ticks)
-        execution = match_execution(run.executions, window_end)
-        if execution is None:
-            continue
-        if wanted is not None and execution.index not in wanted:
-            continue
-        lois.append(_loi_from(run.run_index, reading, window_end, execution))
-    return lois
+    window_ends = synchronizer.cpu_times_of(_reading_ticks(run))
+    return run_loi_columns(run, window_ends, execution_indices).lois(0)
 
 
 def extract_lois_unsynchronized(
@@ -406,36 +392,11 @@ def extract_lois_unsynchronized(
     execution_indices: Iterable[int] | None = None,
 ) -> list[LogOfInterest]:
     """LOI extraction using the naive index-based mapping (baseline)."""
-    wanted = set(execution_indices) if execution_indices is not None else None
-    if not run.readings:
-        return []
     naive = NaiveIndexSynchronizer(
         logger_start_cpu_s=logger_start_cpu_s, period_s=run.logger_period_s
     )
     window_ends = naive.cpu_times_of_indices(len(run.readings))
-    return _lois_from_window_ends(run, window_ends, wanted)
-
-
-def extract_lois_unsynchronized_reference(
-    run: RunRecord,
-    logger_start_cpu_s: float,
-    execution_indices: Iterable[int] | None = None,
-) -> list[LogOfInterest]:
-    """Pure-Python reference implementation of :func:`extract_lois_unsynchronized`."""
-    naive = NaiveIndexSynchronizer(
-        logger_start_cpu_s=logger_start_cpu_s, period_s=run.logger_period_s
-    )
-    wanted = set(execution_indices) if execution_indices is not None else None
-    lois: list[LogOfInterest] = []
-    for sample_index, reading in enumerate(run.readings):
-        window_end = naive.cpu_time_of_index(sample_index)
-        execution = match_execution(run.executions, window_end)
-        if execution is None:
-            continue
-        if wanted is not None and execution.index not in wanted:
-            continue
-        lois.append(_loi_from(run.run_index, reading, window_end, execution))
-    return lois
+    return run_loi_columns(run, window_ends, execution_indices).lois(0)
 
 
 def synchronizer_for_run(
@@ -456,8 +417,7 @@ __all__ = [
     "match_execution_positions",
     "extract_lois",
     "extract_lois_batch",
-    "extract_lois_reference",
     "extract_lois_unsynchronized",
-    "extract_lois_unsynchronized_reference",
+    "run_loi_columns",
     "synchronizer_for_run",
 ]

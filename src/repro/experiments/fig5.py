@@ -134,11 +134,12 @@ def fig5_from_results(
     sync_series = sync_stitcher.collect(list(synchronized.runs))
     mismatches = 0
     considered = 0
+    naive_lois = unsync_series.lois_by_run
     for run_index, sync_lois in sync_series.lois_by_run.items():
         sync_map = {loi.reading.gpu_timestamp_ticks: loi.execution_index for loi in sync_lois}
         naive_map = {
             loi.reading.gpu_timestamp_ticks: loi.execution_index
-            for loi in unsync_series.lois_by_run.get(run_index, ())
+            for loi in naive_lois.get(run_index, ())
         }
         keys = set(sync_map) | set(naive_map)
         considered += len(keys)

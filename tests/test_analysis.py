@@ -24,7 +24,9 @@ from repro.analysis.proportionality import (
     assess_proportionality,
 )
 from repro.analysis.trends import fit_trend, linear_trend, profile_spread, trend_agreement
-from repro.core.profile import FineGrainProfile, ProfileKind, ProfilePoint
+from repro.core.profile import FineGrainProfile, ProfileKind, ProfilePoint, profile_from_lois
+from repro.core.stitching import ProfileStitcher
+from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
 from repro.kernels.workloads import cb_gemm, cb_gemms, mb_gemv
 
 
@@ -225,3 +227,75 @@ class TestInterleavedMeasurement:
         # Measured power should sit near the preceding GEMV level, i.e. far
         # below the CB-2K boost-level power.
         assert profile.mean_power_w("total") < 420
+
+
+def per_run_interleaved_profile(study, kernel, preceding, runs, min_lois=5, max_runs=None):
+    """The interleaved collection loop stitching every run on its own."""
+    backend = study._backend
+    max_runs = max_runs or max(runs * 10, 400)
+    period = backend.power_sample_period_s
+    stitcher = ProfileStitcher(components=study._components)
+    series = None
+    durations = []
+    run_index = 0
+
+    def loi_count():
+        return series.count_last_execution_lois() if series is not None else 0
+
+    while run_index < runs or (loi_count() < min_lois and run_index < max_runs):
+        pre_delay = float(study._rng.uniform(0.0, 2.0 * period))
+        record = backend.run(
+            kernel, executions=1, pre_delay_s=pre_delay, run_index=run_index,
+            preceding=tuple(preceding),
+        )
+        durations.append(record.last_execution.duration_s)
+        if series is None:
+            series = stitcher.collect([record])
+        else:
+            stitcher.extend(series, [record])
+        run_index += 1
+    profile = profile_from_lois(
+        kernel_name=backend.kernel_name(kernel),
+        kind=ProfileKind.CUSTOM,
+        lois=series.lois_for_last_execution(),
+        execution_time_s=float(np.mean(durations)),
+        components=study._components,
+        metadata={"interleaved": True, "runs": runs},
+    )
+    return profile, run_index
+
+
+class TestInterleavedCollection:
+    @pytest.mark.parametrize("runs, min_lois", [(12, 0), (12, 3), (4, 6)])
+    def test_bit_identical_to_per_run_loop(self, spec, monkeypatch, runs, min_lois):
+        import repro.core.stitching as stitching_module
+
+        kernel, preceding = cb_gemm(2048), [(mb_gemv(4096), 20)]
+
+        def study():
+            backend = SimulatedDeviceBackend(spec=spec, seed=123, config=BackendConfig())
+            return InterleavingStudy(backend, runs=25, seed=3)
+
+        old = study()
+        expected, expected_runs = per_run_interleaved_profile(
+            old, kernel, preceding, runs, min_lois=min_lois
+        )
+
+        batches: list[list[int]] = []
+        original = stitching_module.extract_lois_batch
+
+        def recording_batch(records, **kwargs):
+            batches.append([record.run_index for record in records])
+            return original(records, **kwargs)
+
+        monkeypatch.setattr(stitching_module, "extract_lois_batch", recording_batch)
+        new = study()
+        profile = new.interleaved_profile(kernel, preceding, runs=runs, min_lois=min_lois)
+
+        assert profile == expected
+        assert np.array_equal(profile.times(), expected.times())
+        assert profile.execution_time_s == expected.execution_time_s
+        assert new._rng.bit_generator.state == old._rng.bit_generator.state
+        # The first ``runs`` runs are one extraction; top-ups one run each.
+        assert batches[0] == list(range(runs))
+        assert batches[1:] == [[i] for i in range(runs, expected_runs)]

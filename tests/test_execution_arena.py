@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from repro.core.records import (
-    ExecutionColumns,
     ExecutionTiming,
     ExecutionTimings,
     PowerReading,
     PowerReadings,
     ReadingColumns,
+    RunRecord,
+    TimestampAnchor,
 )
 from repro.gpu.backend import BackendConfig, SimulatedDeviceBackend
 from repro.gpu.spec import mi300x_spec
@@ -127,12 +128,24 @@ class TestPowerReadingsView:
 
     def test_execution_columns_adoption_matches_object_build(self):
         view = make_view(5)
-        adopted = ExecutionColumns.from_executions(view)
-        rebuilt = ExecutionColumns.from_executions(tuple(view))
-        for attribute in ("indices", "starts_s", "ends_s", "positions"):
-            assert np.array_equal(
-                getattr(adopted, attribute), getattr(rebuilt, attribute)
+
+        def record(executions):
+            return RunRecord(
+                run_index=0, kernel_name="K", readings=(), executions=executions,
+                anchor=TimestampAnchor(0, 0.0, 0.0), logger_period_s=1e-3,
+                counter_frequency_hz=1e8, pre_delay_s=0.0,
             )
+
+        adopted, rebuilt = record(view), record(tuple(view))
+        assert adopted.execution_arrays()[1] is view.starts_s
+        for a, b in zip(adopted.execution_arrays(), rebuilt.execution_arrays()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for index in (None, 0, 3):
+            expected = (view[-1] if index is None else view[index]).duration_s
+            assert adopted.execution_duration_s(index) == expected
+            assert rebuilt.execution_duration_s(index) == expected
+        with pytest.raises(KeyError):
+            adopted.execution_duration_s(99)
 
 
 class TestBackendRecordViews:
@@ -171,11 +184,9 @@ class TestBackendRecordViews:
     def test_record_pickle_round_trip_drops_caches(self, record_pair):
         fast, _ = record_pair
         fast.reading_columns()
-        fast.execution_columns()
         clone = pickle.loads(pickle.dumps(fast, protocol=pickle.HIGHEST_PROTOCOL))
         assert clone == fast
         assert "_reading_columns" not in clone.__dict__
-        assert "_execution_columns" not in clone.__dict__
         # and the clone can rebuild its columns
         assert np.array_equal(
             clone.reading_columns().gpu_timestamp_ticks,

@@ -19,7 +19,6 @@ from repro.core.profile import (
     ProfileKind,
     ProfilePoint,
     profile_from_lois,
-    profile_from_lois_reference,
 )
 from repro.core.profiler import FinGraVProfiler, ProfilerConfig
 from repro.core.records import LogOfInterest, PowerReading
@@ -27,6 +26,8 @@ from repro.core.stitching import ProfileStitcher
 from repro.gpu.backend import SimulatedDeviceBackend
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm
+
+from loi_oracles import profile_from_lois_reference, run_profile_reference
 
 
 def synthetic_lois(n: int = 400, seed: int = 3, components=True) -> list[LogOfInterest]:
@@ -144,12 +145,6 @@ class TestStitcherEquivalence:
             return [loi for loi in lois if loi.run_index in golden]
 
         name = result.kernel_name
-        run_points = tuple(
-            point
-            for run in result.runs
-            if run.run_index in golden
-            for point in stitcher._run_points(run, run.first_execution.cpu_start_s, True)
-        )
         objects = {
             "ssp_profile": profile_from_lois_reference(
                 name, ProfileKind.SSP,
@@ -161,11 +156,8 @@ class TestStitcherEquivalence:
                 golden_only(series.lois_for_execution(result.plan.sse_index)),
                 result.sse_profile.execution_time_s,
             ),
-            "run_profile": FineGrainProfile(
-                kernel_name=name,
-                kind=ProfileKind.RUN,
-                points=run_points,
-                execution_time_s=result.run_profile.execution_time_s,
+            "run_profile": run_profile_reference(
+                name, result.runs, calibration=result.calibration, golden=golden
             ),
         }
         return result, objects

@@ -2,9 +2,8 @@
 
 LOI extraction, profile stitching and the full nine-step profiler must
 produce bit-identical results to the retained scalar oracles
-(:func:`~repro.core.timesync.extract_lois_reference`,
-:func:`~repro.core.timesync.extract_lois_unsynchronized_reference`,
-:func:`~repro.core.profile.profile_from_lois_reference`) and to a
+(``extract_lois_reference``, ``extract_lois_unsynchronized_reference`` and
+``profile_from_lois_reference`` in ``tests/loi_oracles.py``) and to a
 from-scratch :meth:`ExecutionTimeBinner.bin` over the same run records.
 """
 
@@ -14,20 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core.binning import ExecutionTimeBinner
-from repro.core.profile import (
-    FineGrainProfile,
-    ProfileKind,
-    ProfilePoint,
-    profile_from_lois_reference,
-)
+from repro.core.profile import ProfileKind
 from repro.core.profiler import FinGraVProfiler, ProfilerConfig
 from repro.core.records import ExecutionTiming, PowerReading, RunRecord, TimestampAnchor
 from repro.core.stitching import mean_duration_or_zero
 from repro.core.timesync import (
     extract_lois,
-    extract_lois_reference,
     extract_lois_unsynchronized,
-    extract_lois_unsynchronized_reference,
     match_execution,
     match_execution_positions,
     synchronizer_for_run,
@@ -35,6 +27,13 @@ from repro.core.timesync import (
 from repro.gpu.backend import SimulatedDeviceBackend
 from repro.gpu.spec import mi300x_spec
 from repro.kernels.workloads import cb_gemm
+
+from loi_oracles import (
+    extract_lois_reference,
+    extract_lois_unsynchronized_reference,
+    profile_from_lois_reference,
+    run_profile_reference,
+)
 
 COUNTER_HZ = 100e6
 EPOCH_OFFSET = 7.25
@@ -209,9 +208,11 @@ class TestBatchExtraction:
         ]
         batch = extract_lois_batch(runs)
         assert batch is not None
-        for run, (lois, (times, positions)) in zip(runs, batch):
+        for run, (rows, (times, positions)) in zip(runs, batch):
             sync = synchronizer_for_run(run)
-            assert_identical_lois(lois, extract_lois(run, sync))
+            assert rows.columns.runs[rows.ordinal] is run
+            assert_identical_lois(rows.lois(), extract_lois(run, sync))
+            assert len(rows) == len(extract_lois(run, sync))
             assert times.shape[0] == len(run.readings)
             assert positions.shape[0] == len(run.readings)
 
@@ -240,39 +241,6 @@ class TestBatchExtraction:
         assert_identical_lois(
             list(series.lois_by_run[0]), extract_lois_reference(overlapping[0], sync)
         )
-
-
-def run_profile_oracle(result, golden):
-    """Whole-run profile, one scalar point per reading (no batched matching)."""
-    points = []
-    durations = []
-    for run in result.runs:
-        if run.run_index not in golden:
-            continue
-        synchronizer = synchronizer_for_run(run, result.calibration)
-        origin = run.first_execution.cpu_start_s
-        durations.append(run.last_execution.cpu_end_s - origin)
-        for reading in run.readings:
-            window_end = synchronizer.cpu_time_of(reading.gpu_timestamp_ticks)
-            execution = match_execution(run.executions, window_end)
-            points.append(
-                ProfilePoint(
-                    time_s=window_end - origin,
-                    powers_w={
-                        component: reading.component(component)
-                        for component in result.config.components
-                        if reading.has_component(component)
-                    },
-                    run_index=run.run_index,
-                    execution_index=-1 if execution is None else execution.index,
-                )
-            )
-    return FineGrainProfile(
-        kernel_name=result.kernel_name,
-        kind=ProfileKind.RUN,
-        points=tuple(points),
-        execution_time_s=mean_duration_or_zero(durations),
-    )
 
 
 def oracle_result(result):
@@ -309,7 +277,10 @@ def oracle_result(result):
         "sse_profile": profile(
             ProfileKind.SSE, lambda loi: loi.execution_index == sse_index, sse_index
         ),
-        "run_profile": run_profile_oracle(result, golden),
+        "run_profile": run_profile_reference(
+            result.kernel_name, runs, calibration=result.calibration,
+            components=result.config.components, golden=golden,
+        ),
     }
 
 
