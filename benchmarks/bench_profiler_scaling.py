@@ -144,6 +144,12 @@ class ReplayBackend:
             return record
         return replace(record, run_index=run_index)
 
+    def run_batch(self, kernel, executions, pre_delays, start_index=0, preceding=()):
+        return tuple(
+            self.run(kernel, executions, pre_delay_s, start_index + offset, preceding)
+            for offset, pre_delay_s in enumerate(pre_delays)
+        )
+
 
 @pytest.fixture(scope="module")
 def pool():

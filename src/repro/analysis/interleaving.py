@@ -118,9 +118,14 @@ class InterleavingStudy:
             durations.append(record.execution_duration_s())
             return record
 
-        # The first ``runs`` runs are unconditional: stitch them in one pass.
-        # Only the LOI-count-gated top-up runs are stitched one at a time.
-        series = stitcher.collect([run_once(run_index) for run_index in range(runs)])
+        # The first ``runs`` runs are unconditional: one backend batch (one
+        # batched delay draw is stream-identical to per-run draws), stitched
+        # in one pass.  Only the LOI-count-gated top-up runs go one at a time.
+        first = self._backend.run_batch(
+            kernel, 1, self._rng.uniform(0.0, 2.0 * period, size=runs), 0, tuple(preceding)
+        )
+        durations.extend(record.execution_duration_s() for record in first)
+        series = stitcher.collect(first)
         run_index = runs
         while series.count_last_execution_lois() < min_lois and run_index < max_runs:
             stitcher.extend(series, [run_once(run_index)])

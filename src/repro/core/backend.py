@@ -64,5 +64,21 @@ class ProfilingBackend(Protocol):
         kernel ``executions`` times back-to-back, and stopping the logger.
         """
 
+    def run_batch(
+        self,
+        kernel: object,
+        executions: int,
+        pre_delays: Sequence[float],
+        start_index: int = 0,
+        preceding: Sequence[PrecedingWork] = (),
+    ) -> tuple[RunRecord, ...]:
+        """Runs ``start_index, start_index + 1, ...``, one per pre-delay.
+
+        Must return exactly what one :meth:`run` call per pre-delay, in
+        order, would; a backend may execute the batch in one go.  The
+        profiler collects every run count it plans (steps 5 and 8) through
+        this call.
+        """
+
 
 __all__ = ["ProfilingBackend", "PrecedingWork"]

@@ -23,6 +23,7 @@ compare like for like; see :mod:`repro.core.baselines` for ready-made presets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -107,6 +108,13 @@ class ProfilerConfig:
         if self.max_additional_runs < 0:
             raise ValueError(
                 f"max_additional_runs must be non-negative, got {self.max_additional_runs}"
+            )
+        if not (
+            math.isfinite(self.max_random_delay_periods) and self.max_random_delay_periods >= 0
+        ):
+            raise ValueError(
+                "max_random_delay_periods must be finite and non-negative, "
+                f"got {self.max_random_delay_periods}"
             )
         if self.calibration_samples <= 0:
             raise ValueError(
@@ -448,18 +456,9 @@ class FinGraVProfiler:
         max_delay = self._config.max_random_delay_periods * period
         # One batched draw is stream-identical to per-run scalar draws.
         pre_delays = self._rng.uniform(0.0, max_delay, size=count)
-        records: list[RunRecord] = []
-        for offset in range(count):
-            records.append(
-                self._backend.run(
-                    kernel,
-                    executions=executions_per_run,
-                    pre_delay_s=float(pre_delays[offset]),
-                    run_index=start_index + offset,
-                    preceding=preceding,
-                )
-            )
-        return tuple(records)
+        return self._backend.run_batch(
+            kernel, executions_per_run, pre_delays, start_index, preceding
+        )
 
     def _ssp_start_index(self, plan: DifferentiationPlan) -> int:
         """First execution index whose LOIs belong to the SSP profile."""

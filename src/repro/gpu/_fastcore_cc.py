@@ -508,17 +508,15 @@ static int sequence_core(double *st, const double *pp, const double *desc,
     return 0;
 }
 
-/* run_core; the k_run counter reset is folded in. */
-int fc_run(double *st, const double *pp, const double *descs, const long *seqs,
-           long n_seqs, const double *seqf, double *caches,
-           const double *variates, const double *spans, double latency_mean,
-           double latency_jitter, double error_std, double gap_s, double *seg,
-           long seg_cap, double *ev, long ev_cap, long *lens, double *exec_rows,
-           double *cpu_starts, double *cpu_ends, double *marks) {
+static int run_core(double *st, const double *pp, const double *descs,
+                    const long *seqs, long n_seqs, const double *seqf,
+                    double *caches, const double *variates, const double *spans,
+                    double latency_mean, double latency_jitter, double error_std,
+                    double gap_s, double *seg, long seg_cap, double *ev,
+                    long ev_cap, long *lens, double *exec_rows,
+                    double *cpu_starts, double *cpu_ends, double *marks) {
     long k, executions, offset = 0;
     int rc;
-    lens[0] = 0;
-    lens[1] = 0;
     rc = idle_core(st, pp, spans[0], 0, seg, seg_cap, ev, ev_cap, lens);
     if (rc != 0) return rc;
     marks[0] = st[S_NOW];
@@ -550,10 +548,10 @@ int fc_run(double *st, const double *pp, const double *descs, const long *seqs,
     return 0;
 }
 
-/* window_core: seg is (seg_n, 5) rows, cum (cum_cap, 3), out (times_n, 3). */
-int fc_window(const double *seg, long seg_n, const double *fill,
-              const double *times, long times_n, double period, double *cum,
-              long cum_cap, double *out) {
+/* seg is (seg_n, 5) rows, cum (cum_cap, 3), out (times_n, 3). */
+static int window_core(const double *seg, long seg_n, const double *fill,
+                       const double *times, long times_n, double period,
+                       double *cum, long cum_cap, double *out) {
     long n = seg_n, i, j, k, w, lo, hi, mid, n_bounds, last;
     int c, side, sides = 1;
     double t, bound, dt, p, e, first_bound = 0.0, last_bound = 0.0;
@@ -623,6 +621,82 @@ int fc_window(const double *seg, long seg_n, const double *fill,
             }
         }
     }
+    return 0;
+}
+
+int fc_window(const double *seg, long seg_n, const double *fill,
+              const double *times, long times_n, double period, double *cum,
+              long cum_cap, double *out) {
+    return window_core(seg, seg_n, fill, times, times_n, period, cum, cum_cap,
+                       out);
+}
+
+/* batch_core; caches is (n_slots, 2), snap holds at least
+   S_LASTP + 1 + 2 * n_slots doubles, times / powers (smp_cap) / (smp_cap, 3). */
+int fc_batch(double *st, const double *pp, const double *descs, const long *seqs,
+             long n_seqs, const double *seqf, double *caches, long n_slots,
+             const double *variates, const double *spans, long n_runs,
+             double latency_mean, double latency_jitter, double error_std,
+             double gap_s, const double *grid, const double *fill, double *seg,
+             long seg_cap, double *ev, long ev_cap, double *cum, long cum_cap,
+             long *lens, double *snap, long *progress, double *exec_rows,
+             long n_exec, double *cpu_starts, double *cpu_ends, double *marks,
+             double *times, double *powers, long smp_cap, long *counts) {
+    long n_state = S_LASTP + 1;
+    long r, i, j, m, first, last, events, total = progress[1];
+    double phase = grid[0], period = grid[1], window = grid[2];
+    double start, stop, t;
+    int rc;
+    for (r = progress[0]; r < n_runs; r++) {
+        for (j = 0; j < n_state; j++) snap[j] = st[j];
+        for (j = 0; j < 2 * n_slots; j++) snap[n_state + j] = caches[j];
+        events = lens[1];
+        lens[0] = 0;
+        rc = run_core(st, pp, descs, seqs, n_seqs, seqf + 2 * r * n_seqs, caches,
+                      variates + 4 * n_exec * r, spans + 5 * r, latency_mean,
+                      latency_jitter, error_std, gap_s, seg, seg_cap, ev, ev_cap,
+                      lens, exec_rows, cpu_starts + r * n_exec,
+                      cpu_ends + r * n_exec, marks + 4 * r);
+        m = 0;
+        if (rc == 0 && period > 0.0) {
+            start = marks[4 * r + 0];
+            stop = marks[4 * r + 3];
+            first = (long)ceil((start - phase) / period);
+            last = (long)floor((stop + 1e-12 - phase) / period) + 1;
+            if (last < first) last = first;
+            for (i = first; i <= last; i++) {
+                t = phase + (double)i * period;
+                if ((window <= 0.0 || t > start + 1e-12) && t <= stop + 1e-12) {
+                    if (total + m >= smp_cap) {
+                        rc = 4;
+                        break;
+                    }
+                    times[total + m] = t;
+                    m++;
+                }
+            }
+            if (rc == 0 && m > 0) {
+                rc = window_core(seg, lens[0], fill, times + total, m, window, cum,
+                                 cum_cap, powers + 3 * total);
+                if (rc == 1)
+                    rc = 3;
+                else if (rc != 0)
+                    rc = 5;
+            }
+        }
+        if (rc != 0) {
+            for (j = 0; j < n_state; j++) st[j] = snap[j];
+            for (j = 0; j < 2 * n_slots; j++) caches[j] = snap[n_state + j];
+            lens[1] = events;
+            progress[0] = r;
+            progress[1] = total;
+            return rc;
+        }
+        counts[r] = m;
+        total += m;
+    }
+    progress[0] = n_runs;
+    progress[1] = total;
     return 0;
 }
 """
@@ -695,7 +769,7 @@ def build_library(compiler: str | None = None) -> Path:
 class CcKernels:
     """ctypes binding presenting the uniform fastcore kernel API.
 
-    ``idle`` / ``execute`` / ``run`` / ``window`` take the same numpy-array
+    ``idle`` / ``execute`` / ``batch`` / ``window`` take the same numpy-array
     arguments as the ``_fastcore_kernels`` entry points (capacities are read off the
     array shapes here and passed explicitly to C).
 
@@ -724,11 +798,14 @@ class CcKernels:
             ptr, ptr, ptr, ctypes.c_double, ctypes.c_int, ctypes.c_int,
             ptr, ctypes.c_long, ptr, ctypes.c_long, ptr, ptr,
         ]
-        lib.fc_run.restype = ctypes.c_int
-        lib.fc_run.argtypes = [
-            ptr, ptr, ptr, ptr, ctypes.c_long, ptr, ptr, ptr, ptr,
+        lib.fc_batch.restype = ctypes.c_int
+        lib.fc_batch.argtypes = [
+            ptr, ptr, ptr, ptr, ctypes.c_long, ptr, ptr, ctypes.c_long,
+            ptr, ptr, ctypes.c_long,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ptr, ctypes.c_long, ptr, ctypes.c_long, ptr, ptr, ptr, ptr, ptr,
+            ptr, ptr, ptr, ctypes.c_long, ptr, ctypes.c_long, ptr, ctypes.c_long,
+            ptr, ptr, ptr, ptr, ctypes.c_long, ptr, ptr, ptr,
+            ptr, ptr, ctypes.c_long, ptr,
         ]
         lib.fc_window.restype = ctypes.c_int
         lib.fc_window.argtypes = [
@@ -775,18 +852,22 @@ class CcKernels:
             p(seg), seg.shape[0], p(ev), ev.shape[0], p(lens), p(out8),
         )
 
-    def run(
+    def batch(
         self, st, pp, descs, seqs, seqf, caches, variates, spans,
         latency_mean, latency_jitter, error_std, gap_s,
-        seg, ev, lens, exec_rows, cpu_starts, cpu_ends, marks,
+        grid, fill, seg, ev, cum, lens, snap, progress,
+        exec_rows, cpu_starts, cpu_ends, marks, times, powers, counts,
     ):
         p = self._ptr
         a = self._addr
-        return self._lib.fc_run(
-            p(st), p(pp), a(descs), a(seqs), seqs.shape[0], a(seqf), a(caches),
-            a(variates), a(spans), latency_mean, latency_jitter, error_std, gap_s,
-            p(seg), seg.shape[0], p(ev), ev.shape[0], p(lens),
-            a(exec_rows), a(cpu_starts), a(cpu_ends), a(marks),
+        return self._lib.fc_batch(
+            p(st), p(pp), a(descs), a(seqs), seqs.shape[0], a(seqf),
+            a(caches), caches.shape[0], a(variates), a(spans), spans.shape[0],
+            latency_mean, latency_jitter, error_std, gap_s,
+            p(grid), p(fill), p(seg), seg.shape[0], p(ev), ev.shape[0],
+            p(cum), cum.shape[0], p(lens), p(snap), p(progress),
+            a(exec_rows), exec_rows.shape[0], a(cpu_starts), a(cpu_ends), a(marks),
+            p(times), p(powers), times.shape[0], a(counts),
         )
 
     def window(self, seg, fill, times, period, cum, out):

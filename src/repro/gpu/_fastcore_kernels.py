@@ -4,8 +4,9 @@ This module is the *single transcription* of the device's measured hot loops
 -- the idle per-period loop, the execution slice loop, the firmware control
 boundary of :meth:`SimulatedGPU._maybe_step_firmware` /
 :meth:`PowerManagementFirmware.step`, the closed-form thermal relaxation of
-:meth:`ThermalModel.relax_span`, one instrumented run's whole timeline and
-the power logger's window averaging -- into a form Numba can ``@njit`` and a
+:meth:`ThermalModel.relax_span`, one instrumented run's whole timeline, the
+power logger's window averaging and a whole collection batch of runs with
+their logger samples -- into a form Numba can ``@njit`` and a
 C compiler can mirror line for line (``_fastcore_cc``).  Every expression
 mirrors the corresponding statement of the per-slice reference engine (same
 operand order, same comparisons, same clamps); the only intended divergence
@@ -65,17 +66,32 @@ The logger windows (``window_core``) read ``seg`` as a recording's
 float64[m] sample times, and write ``out`` -- float64[m, 3] powers, using
 ``cum`` -- float64[>= max(2n, 1), 3] cumulative-energy scratch.
 
+A batch of ``N`` runs (``batch_core``) stacks the per-run arrays run after
+run: ``seqf`` -- float64[N * k, 2], ``variates`` -- float64[N * 4e]
+(``e`` executions per run), ``spans`` -- float64[N, 5], ``marks`` --
+float64[N, 4], ``cpu_starts`` / ``cpu_ends`` -- float64[N * e], while
+``exec_rows`` (float64[e, 8]) and ``seg`` hold one run at a time.  It also
+takes ``grid`` -- float64[3] the sampler's (phase, period, window),
+``cum`` -- the window scratch, ``snap`` -- float64[>= 12 + 2 * slots] a run's
+starting state and caches, ``progress`` -- int64[2] (first run to
+simulate, samples kept so far; on return the run reached and the samples
+written), ``times`` / ``powers`` -- float64[cap] / float64[cap, 3] the
+samples of every run, run after run, and ``counts`` -- int64[N] samples
+per run.
+
 The device kernels return 0 on success, 1 on segment-buffer overflow and 2
 on event-buffer overflow; on overflow the caller restores its state
 snapshot, grows the buffer and retries (no RNG is consumed inside the
 kernels, so a retry is deterministic).  ``window_core`` returns 1 when
 ``cum`` is too small (grow and retry) and 2 for unsorted or overlapping
-segments.
+segments.  ``batch_core`` restores the failed run's start itself and
+returns 1-4 for a segment, event, ``cum`` or sample overflow (grow and
+resume at ``progress``) and 5 for an unsorted recording.
 """
 
 from __future__ import annotations
 
-from math import exp
+from math import ceil, exp, floor
 
 try:  # pragma: no cover - exercised only when Numba is installed
     from numba import njit as _njit
@@ -142,7 +158,7 @@ P_RETENTION = 29
 P_MINFACT = 30
 PARAM_LEN = 31
 
-# Firmware state codes -- indices into SimulatedGPU._FC_STATES.
+# Firmware state codes -- indices into repro.gpu.dvfs.KERNEL_STATES.
 FW_IDLE = 0
 FW_RAMPING = 1
 FW_BOOST = 2
@@ -586,7 +602,7 @@ def sequence_core(
 
 
 # --------------------------------------------------------------------- #
-# One whole instrumented run (SimulatedDeviceBackend.run's timeline).
+# One whole instrumented run (a step of batch_core).
 # --------------------------------------------------------------------- #
 @_njit(cache=True)
 def run_core(
@@ -765,6 +781,138 @@ def window_core(seg, fill, times, period, cum, out):
 
 
 # --------------------------------------------------------------------- #
+# A whole collection batch (SimulatedDeviceBackend.run_batch's runs).
+# --------------------------------------------------------------------- #
+@_njit(cache=True)
+def batch_core(
+    st,
+    pp,
+    descs,
+    seqs,
+    seqf,
+    caches,
+    variates,
+    spans,
+    latency_mean,
+    latency_jitter,
+    error_std,
+    gap_s,
+    grid,
+    fill,
+    seg,
+    ev,
+    cum,
+    lens,
+    snap,
+    progress,
+    exec_rows,
+    cpu_starts,
+    cpu_ends,
+    marks,
+    times,
+    powers,
+    counts,
+):
+    """Runs ``progress[0] ..`` of a batch: timeline, sample grid, windows.
+
+    Run ``r`` is :func:`run_core` on its own rows (``seqf`` from ``r * k``,
+    ``variates`` from ``4 * e * r``, ``spans[r]``, ``marks[r]``,
+    ``cpu_starts``/``cpu_ends`` from ``r * e``, for ``k`` sequences and
+    ``e = exec_rows.shape[0]`` executions per run); ``seg`` and
+    ``exec_rows`` are reused run by run.  With ``grid[1] > 0`` the run's
+    samples follow: the times ``grid[0] + i * grid[1]`` in ``(logger start,
+    logger stop]`` of the sampler's grid (a window ``grid[2] > 0`` also drops
+    a time within 1e-12 of the start), appended to ``times`` from
+    ``progress[1]`` and averaged over ``grid[2]`` by :func:`window_core`;
+    ``counts[r]`` gets the run's sample count.
+
+    On overflow (1 segments, 2 events, 3 ``cum``, 4 ``times``; 5 is an
+    unsorted recording) the state, ``caches`` and event count are restored
+    from ``snap`` to the failed run's start and ``progress`` names that run
+    and the samples kept, so the caller grows the buffer and resumes there.
+    """
+    n_seqs = seqs.shape[0]
+    n_exec = exec_rows.shape[0]
+    n_state = st.shape[0]
+    n_slots = caches.shape[0]
+    phase = grid[0]
+    period = grid[1]
+    window = grid[2]
+    total = progress[1]
+    for r in range(progress[0], spans.shape[0]):
+        for j in range(n_state):
+            snap[j] = st[j]
+        for j in range(n_slots):
+            snap[n_state + 2 * j] = caches[j, 0]
+            snap[n_state + 2 * j + 1] = caches[j, 1]
+        events = lens[1]
+        lens[0] = 0
+        rc = run_core(
+            st,
+            pp,
+            descs,
+            seqs,
+            seqf[r * n_seqs:],
+            caches,
+            variates[4 * n_exec * r:],
+            spans[r],
+            latency_mean,
+            latency_jitter,
+            error_std,
+            gap_s,
+            seg,
+            ev,
+            lens,
+            exec_rows,
+            cpu_starts[r * n_exec:],
+            cpu_ends[r * n_exec:],
+            marks[r],
+        )
+        m = 0
+        if rc == 0 and period > 0.0:
+            start = marks[r, 0]
+            stop = marks[r, 3]
+            first = ceil((start - phase) / period)
+            last = floor((stop + 1e-12 - phase) / period) + 1
+            for i in range(first, max(last, first) + 1):
+                t = phase + i * period
+                if (window <= 0.0 or t > start + 1e-12) and t <= stop + 1e-12:
+                    if total + m >= times.shape[0]:
+                        rc = 4
+                        break
+                    times[total + m] = t
+                    m += 1
+            if rc == 0 and m > 0:
+                rc = window_core(
+                    seg[: lens[0]],
+                    fill,
+                    times[total : total + m],
+                    window,
+                    cum,
+                    powers[total : total + m],
+                )
+                if rc == 1:
+                    rc = 3
+                elif rc != 0:
+                    rc = 5
+        if rc != 0:
+            for j in range(n_state):
+                st[j] = snap[j]
+            for j in range(n_slots):
+                caches[j, 0] = snap[n_state + 2 * j]
+                caches[j, 1] = snap[n_state + 2 * j + 1]
+            lens[1] = events
+            progress[0] = r
+            progress[1] = total
+            return rc
+        counts[r] = m
+        total += m
+    progress[0] = spans.shape[0]
+    progress[1] = total
+    return 0
+
+
+# --------------------------------------------------------------------- #
 # Public entry points (reset the output counters, then run the cores).
 # --------------------------------------------------------------------- #
 def k_idle(st, pp, duration, record, seg, ev, lens):
@@ -779,17 +927,17 @@ def k_execute(st, pp, desc, time_factor, cold, record, seg, ev, lens, out8):
     return execute_core(st, pp, desc, time_factor, cold, record, seg, ev, lens, out8)
 
 
-def k_run(
+def k_batch(
     st, pp, descs, seqs, seqf, caches, variates, spans,
     latency_mean, latency_jitter, error_std, gap_s,
-    seg, ev, lens, exec_rows, cpu_starts, cpu_ends, marks,
+    grid, fill, seg, ev, cum, lens, snap, progress,
+    exec_rows, cpu_starts, cpu_ends, marks, times, powers, counts,
 ):
-    lens[0] = 0
-    lens[1] = 0
-    return run_core(
+    return batch_core(
         st, pp, descs, seqs, seqf, caches, variates, spans,
         latency_mean, latency_jitter, error_std, gap_s,
-        seg, ev, lens, exec_rows, cpu_starts, cpu_ends, marks,
+        grid, fill, seg, ev, cum, lens, snap, progress,
+        exec_rows, cpu_starts, cpu_ends, marks, times, powers, counts,
     )
 
 
@@ -801,7 +949,7 @@ __all__ = [
     "HAVE_NUMBA",
     "k_idle",
     "k_execute",
-    "k_run",
+    "k_batch",
     "k_window",
     "STATE_LEN",
     "PARAM_LEN",

@@ -9,11 +9,23 @@ CPU-side instrumentation the paper describes (Section IV-B step 2): starting
 and stopping the power logger around the run, reading the GPU timestamp before
 the executions, timing kernel start/end from the host, and injecting the
 caller-requested random delay before the executions.
+
+:meth:`SimulatedDeviceBackend.run_batch` collects a whole batch of runs --
+one per pre-delay -- and is bit-identical to that many :meth:`run` calls.
+On the compiled engine the batch is one device call
+(:meth:`~repro.gpu.device.SimulatedGPU.instrumented_runs`, one kernel call
+covering every run's timeline and logger windows) and its records are views
+into the batch's arrays; reading noise is one draw per batch.  A single
+:meth:`run` is a batch of one whose readings come from the sampler's
+``sample_columns``.  The reference engine and configurations the kernels
+cannot fuse step every run through the device's object API.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from math import isfinite
 from numbers import Integral
 
 import numpy as np
@@ -39,6 +51,9 @@ from .telemetry import (
     InstantaneousPowerSampler,
     TelemetrySample,
 )
+
+#: Component columns of the compiled engine's readings.
+_COMPONENTS = ("xcd", "iod", "hbm")
 
 
 @dataclass(frozen=True)
@@ -211,11 +226,44 @@ class SimulatedDeviceBackend:
     ) -> RunRecord:
         """One instrumented run (steps 2 and 5 of the methodology).
 
-        Every count and kernel handle is validated before the device is
-        touched, so a rejected call leaves the device unchanged.
+        A batch of one on the device; on the compiled engine its readings
+        come from the sampler's ``sample_columns`` over the run's recording
+        (:meth:`run_batch` averages the windows inside the batch kernel
+        instead -- the records are identical).  Every count, delay and
+        kernel handle is validated before the device is touched, so a
+        rejected call leaves the device unchanged.
         """
+        return self._runs(kernel, executions, (pre_delay_s,), run_index, preceding, False)[0]
+
+    def run_batch(
+        self,
+        kernel: object,
+        executions: int,
+        pre_delays: Sequence[float] | np.ndarray,
+        start_index: int = 0,
+        preceding: tuple[tuple[object, int], ...] | list[tuple[object, int]] = (),
+    ) -> tuple[RunRecord, ...]:
+        """Runs ``start_index, start_index + 1, ...``, one per pre-delay.
+
+        Bit-identical to one :meth:`run` call per pre-delay in order --
+        records, device state and both RNG streams.  On the compiled engine
+        the whole batch is one kernel call (every run's timeline and logger
+        windows) and the records are views into the batch's arrays.  A
+        rejected batch (bad count, negative or non-finite delay, unknown
+        kernel handle) leaves the device unchanged.
+        """
+        return self._runs(kernel, executions, pre_delays, start_index, preceding, True)
+
+    def _runs(self, kernel, executions, pre_delays, start_index, preceding, kernel_windows):
         executions = _positive_count(executions, "executions")
-        if pre_delay_s < 0:
+        delays = np.asarray(pre_delays, dtype=float)
+        if delays.ndim != 1:
+            raise ValueError("pre-delays must be a flat sequence of seconds")
+        # Scalar checks: a ufunc reduction costs more than a short batch.
+        delay_list = delays.tolist()
+        if not all(map(isfinite, delay_list)):
+            raise ValueError("the random pre-delay must be finite")
+        if delay_list and min(delay_list) < 0:
             raise ValueError("the random pre-delay cannot be negative")
         descriptor = self._descriptor_of(kernel)
         sequences = [
@@ -223,78 +271,121 @@ class SimulatedDeviceBackend:
             for handle, count in preceding
         ]
         sequences.append((descriptor, executions))
+        if not delay_list:
+            return ()
         device = self._device
         config = self._config
         period = self._sampler.period_s
         launch = self._launcher.config
-
-        if (
+        if not (
             device.engine == "compiled"
             and launch.event_timestamp_error_s > 0
             and all(d.variation.execution_cv > 0 for d, _ in sequences)
         ):
-            # Hot path: one kernel call for the device timeline, one for the
-            # logger windows; timings and readings stay columnar views.
-            run = device.instrumented_run(
-                sequences, launch, config.park_s, config.pre_padding_periods * period,
-                pre_delay_s, config.post_padding_periods * period,
+            return tuple(
+                self._run_objects(sequences, pre_delay_s, start_index + offset)
+                for offset, pre_delay_s in enumerate(delay_list)
             )
-            logger_start_s, anchor_read, logger_stop_s = (
-                run.logger_start_s, run.anchor, run.logger_stop_s
-            )
-            run_variation = run.variations[-1]
-            readings = self._readings_fast(
-                *self._sampler.sample_columns(run.segments, logger_start_s, logger_stop_s)
-            )
-            split = run.cpu_starts.shape[0] - executions
-            preceding_timing = (
-                _timings(sequences[:-1], run.cpu_starts[:split], run.cpu_ends[:split])
-                if split else ()
-            )
-            executions_timing = _timings(
-                sequences[-1:], run.cpu_starts[split:], run.cpu_ends[split:]
-            )
-        else:
-            device.park(config.park_s)
-            logger_start_s = device.start_recording()
-            device.idle(config.pre_padding_periods * period)
-            anchor_read = device.read_timestamp()
-            if pre_delay_s > 0:
-                device.idle(pre_delay_s)
-            preceding_observed: list[ObservedExecution] = []
-            for preceding_descriptor, preceding_count in sequences[:-1]:
-                variation = device.draw_run_variation(preceding_descriptor)
-                preceding_observed.extend(
-                    self._launcher.launch_sequence(
-                        preceding_descriptor, preceding_count, run_variation=variation
-                    )
-                )
-            run_variation = device.draw_run_variation(descriptor)
-            observed = self._launcher.launch_sequence(
-                descriptor, executions, run_variation=run_variation
-            )
-            device.idle(config.post_padding_periods * period)
-            segments = device.stop_recording()
-            logger_stop_s = device.now_s()
-            samples = self._sampler.samples(segments, logger_start_s, logger_stop_s)
-            readings = tuple(self._reading_from(sample) for sample in samples)
-            executions_timing = tuple(self._timing_from(obs) for obs in observed)
-            preceding_timing = tuple(self._timing_from(obs) for obs in preceding_observed)
-        anchor = TimestampAnchor(
-            gpu_ticks=anchor_read.gpu_ticks,
-            cpu_time_after_s=anchor_read.cpu_time_after_s,
-            round_trip_s=anchor_read.round_trip_s,
+
+        # Hot path: one kernel call for the batch's timelines (and windows).
+        runs = device.instrumented_runs(
+            sequences, launch, config.park_s, config.pre_padding_periods * period,
+            delays, config.post_padding_periods * period, self._sampler if kernel_windows else None,
         )
+        marks = runs.marks.tolist()
+        if kernel_windows:
+            ticks = device.timestamp_counter.ticks_at_many(runs.times)
+            powers, counts, window_s = runs.powers, runs.counts.tolist(), self._sampler.window_s
+        else:
+            ticks, _, powers, window_s = self._sampler.sample_columns(
+                runs.segments, marks[0][0], marks[0][3]
+            )
+            counts = [ticks.shape[0]]
+        totals, components = self._noisy(powers)
+        split = runs.cpu_starts.shape[1] - executions
+        main = _timing_columns(sequences[-1:])
+        before = _timing_columns(sequences[:-1])
+        starts, ends = runs.cpu_starts, runs.cpu_ends
+        frequency_hz = self.counter_frequency_hz
+        anchor_ticks = runs.anchor_ticks.tolist()
+        round_trips = runs.round_trips.tolist()
+        records = []
+        cursor = 0
+        for r, pre_delay_s in enumerate(delay_list):
+            end = cursor + counts[r]
+            logger_start_s, _, after_read_s, logger_stop_s = marks[r]
+            records.append(
+                RunRecord(
+                    run_index=start_index + r,
+                    kernel_name=descriptor.name,
+                    readings=PowerReadings(
+                        ticks[cursor:end], window_s, totals[cursor:end],
+                        _COMPONENTS, components[cursor:end],
+                    ),
+                    executions=ExecutionTimings(
+                        main[0], starts[r, split:], ends[r, split:], main[1]
+                    ),
+                    anchor=TimestampAnchor(anchor_ticks[r], after_read_s, round_trips[r]),
+                    logger_period_s=period,
+                    counter_frequency_hz=frequency_hz,
+                    pre_delay_s=pre_delay_s,
+                    preceding_executions=(
+                        ExecutionTimings(before[0], starts[r, :split], ends[r, :split], before[1])
+                        if split else ()
+                    ),
+                    metadata={
+                        "logger_start_cpu_s": logger_start_s,
+                        "logger_stop_cpu_s": logger_stop_s,
+                        "sampler": config.sampler,
+                        "run_variation_outlier": runs.variations[r][-1].is_outlier,
+                    },
+                )
+            )
+            cursor = end
+        return tuple(records)
+
+    def _run_objects(self, sequences, pre_delay_s: float, run_index: int) -> RunRecord:
+        """One run stepped through the device's object API (any engine)."""
+        device = self._device
+        config = self._config
+        period = self._sampler.period_s
+        device.park(config.park_s)
+        logger_start_s = device.start_recording()
+        device.idle(config.pre_padding_periods * period)
+        anchor_read = device.read_timestamp()
+        if pre_delay_s > 0:
+            device.idle(pre_delay_s)
+        preceding_observed: list[ObservedExecution] = []
+        for preceding_descriptor, preceding_count in sequences[:-1]:
+            variation = device.draw_run_variation(preceding_descriptor)
+            preceding_observed.extend(
+                self._launcher.launch_sequence(
+                    preceding_descriptor, preceding_count, run_variation=variation
+                )
+            )
+        descriptor, executions = sequences[-1]
+        run_variation = device.draw_run_variation(descriptor)
+        observed = self._launcher.launch_sequence(
+            descriptor, executions, run_variation=run_variation
+        )
+        device.idle(config.post_padding_periods * period)
+        segments = device.stop_recording()
+        logger_stop_s = device.now_s()
+        samples = self._sampler.samples(segments, logger_start_s, logger_stop_s)
         return RunRecord(
             run_index=run_index,
             kernel_name=descriptor.name,
-            readings=readings,
-            executions=executions_timing,
-            anchor=anchor,
+            readings=tuple(self._reading_from(sample) for sample in samples),
+            executions=tuple(self._timing_from(obs) for obs in observed),
+            anchor=TimestampAnchor(
+                gpu_ticks=anchor_read.gpu_ticks,
+                cpu_time_after_s=anchor_read.cpu_time_after_s,
+                round_trip_s=anchor_read.round_trip_s,
+            ),
             logger_period_s=period,
             counter_frequency_hz=self.counter_frequency_hz,
             pre_delay_s=pre_delay_s,
-            preceding_executions=preceding_timing,
+            preceding_executions=tuple(self._timing_from(obs) for obs in preceding_observed),
             metadata={
                 "logger_start_cpu_s": logger_start_s,
                 "logger_stop_cpu_s": logger_stop_s,
@@ -311,35 +402,22 @@ class SimulatedDeviceBackend:
             return 1.0
         return float(self._noise_rng.normal(1.0, self._config.reading_noise))
 
-    def _readings_fast(self, ticks, times, powers, window_s) -> PowerReadings:
-        """Build the readings of a run straight from columnar samples.
+    def _noisy(self, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Totals and components of columnar samples, with reading noise.
 
         Values are identical to :meth:`_reading_from` over
-        :meth:`~repro.gpu.telemetry.AveragingPowerLogger.samples` -- the noise
-        draws consume the same RNG stream (a batched ``normal`` draw is
-        bit-identical to per-reading draws) and the same float arithmetic is
-        applied element-wise -- but the whole run's readings are four array
-        operations wrapped in a lazy :class:`PowerReadings` view: no
-        ``TelemetrySample`` and no per-reading ``PowerReading`` objects.
+        :meth:`~repro.gpu.telemetry.AveragingPowerLogger.samples`: one
+        batched ``normal`` draw consumes the noise stream exactly as one
+        draw per reading does, and the same float arithmetic is applied
+        element-wise.
         """
-        del times  # window-end CPU times are reconstructed by the profiler
-        n = ticks.shape[0]
-        powers = np.asarray(powers, dtype=float)
+        n = powers.shape[0]
         noise_std = self._config.reading_noise
         totals = powers[:, 0] + powers[:, 1] + powers[:, 2]
         if noise_std > 0 and n:
             noise = self._noise_rng.normal(1.0, noise_std, size=n)
-            components = powers * noise[:, None]
-            totals = totals * noise
-        else:
-            components = powers
-        return PowerReadings(
-            gpu_timestamp_ticks=ticks,
-            window_s=window_s,
-            total_w=totals,
-            component_names=("xcd", "iod", "hbm"),
-            components_w=components,
-        )
+            return totals * noise, powers * noise[:, None]
+        return totals, powers
 
     def _reading_from(self, sample: TelemetrySample) -> PowerReading:
         noise = self._noise()
@@ -374,19 +452,17 @@ def _positive_count(count: object, what: str) -> int:
     return int(count)
 
 
-def _timings(sequences, starts: np.ndarray, ends: np.ndarray) -> ExecutionTimings:
-    """Columnar timings of back-to-back sequences, each indexed from zero."""
+def _timing_columns(sequences) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Execution indices and kernel names of back-to-back sequences.
+
+    Each sequence is indexed from zero; every run of a batch shares them.
+    """
     names: list[str] = []
-    indices = []
+    indices: list[int] = []
     for descriptor, executions in sequences:
         names.extend([descriptor.name] * executions)
-        indices.append(np.arange(executions, dtype=np.int64))
-    return ExecutionTimings(
-        indices=indices[0] if len(indices) == 1 else np.concatenate(indices),
-        starts_s=starts,
-        ends_s=ends,
-        kernel_names=names,
-    )
+        indices.extend(range(executions))
+    return np.array(indices, dtype=np.int64), tuple(names)
 
 
 __all__ = ["BackendConfig", "SimulatedDeviceBackend"]

@@ -33,14 +33,16 @@ through :func:`repro.gpu.fastcore.resolve_engine` exactly like
   bodies.  Simulation state (clock, warmth, control accumulator, firmware)
   is packed into a flat float vector around each call and recorded slices /
   firmware events are drained from preallocated buffers afterwards.
-  :meth:`instrumented_run` simulates a whole instrumented run -- park,
-  logger start, anchor read, pre-delay, every launch sequence, logger stop
-  -- in one kernel call, with every RNG value drawn in Python beforehand;
-  single idle spans and executions are one call each.  Slices are recorded
-  columnar, idle-span warmth is advanced with one closed-form relaxation
-  per span, and a recording comes back as a :class:`SegmentArray` whose
-  storage is the kernels' ``(n, 5)`` ``(start, end, xcd, iod, hbm)`` rows,
-  which the telemetry window kernel reads as is.
+  :meth:`instrumented_runs` simulates a whole collection batch of
+  instrumented runs -- per run park, logger start, anchor read, pre-delay,
+  every launch sequence, logger stop and, given a sampler, the run's logger
+  windows -- in one kernel call, with every RNG value drawn in Python
+  beforehand; single idle spans and executions are one call each.  Slices
+  are recorded columnar, idle-span warmth is advanced with one closed-form
+  relaxation per span, and a recording comes back as a
+  :class:`SegmentArray` whose storage is the kernels' ``(n, 5)`` ``(start,
+  end, xcd, iod, hbm)`` rows, which the telemetry window kernel reads as
+  is.
 * ``engine="reference"`` -- the original per-slice path, retained as the
   executable specification.  It materialises one :class:`PowerSegment` per
   slice and steps the thermal model slice by slice.
@@ -60,7 +62,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import exp
+from math import exp, isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -69,7 +71,7 @@ from . import _fastcore_kernels as _FK
 from . import fastcore as _fastcore
 from .activity import KernelActivityDescriptor
 from .clocks import CPUClock, GPUTimestampCounter, SimulationClock, TimestampReadResult
-from .dvfs import FirmwareConfig, FirmwareEvent, FirmwareState, PowerManagementFirmware
+from .dvfs import KERNEL_STATES, FirmwareConfig, FirmwareEvent, PowerManagementFirmware
 from .power_model import IOD_FREQUENCY_COUPLING, ComponentPower, OperatingPoint, PowerModel
 from .spec import GPUSpec, mi300x_spec
 from .thermal import ThermalModel, ThermalSpec
@@ -79,17 +81,8 @@ if TYPE_CHECKING:
     from .scheduler import LaunchConfig
 
 
-# Firmware-state <-> compiled-kernel code mapping.  Order mirrors the FW_*
-# codes in _fastcore_kernels (IDLE=0 .. CAPPED=5) -- keep in lockstep.
-_FC_STATES = (
-    FirmwareState.IDLE,
-    FirmwareState.RAMPING,
-    FirmwareState.BOOST,
-    FirmwareState.THROTTLED,
-    FirmwareState.RECOVERING,
-    FirmwareState.CAPPED,
-)
-_FC_CODES = {state: float(code) for code, state in enumerate(_FC_STATES)}
+# Firmware state -> compiled-kernel code (the FW_* codes).
+_FC_CODES = {state: float(code) for code, state in enumerate(KERNEL_STATES)}
 
 
 @dataclass(frozen=True)
@@ -234,21 +227,30 @@ class KernelExecutionResult:
         return self.end_s - self.start_s
 
 
-class InstrumentedRun(NamedTuple):
-    """What :meth:`SimulatedGPU.instrumented_run` hands back to the backend.
+class InstrumentedRuns(NamedTuple):
+    """What :meth:`SimulatedGPU.instrumented_runs` hands back to the backend.
 
-    ``cpu_starts`` / ``cpu_ends`` hold the host-observed times of every
-    sequence's executions, in sequence order; ``variations`` one run
-    variation per sequence.
+    Row ``r`` of every per-run array belongs to run ``r``: ``marks`` holds
+    the logger start, the anchor read's issue time, the time after the read
+    and the logger stop; ``anchor_ticks`` / ``round_trips`` the anchor read;
+    ``cpu_starts`` / ``cpu_ends`` the host-observed times of the run's
+    executions, every sequence in order; ``variations`` one run variation
+    per sequence.  With a sampler, the ``counts[r]`` samples of run ``r``
+    follow those of run ``r - 1`` in ``times`` / ``powers`` (xcd/iod/hbm
+    window rows) and ``segments`` is ``None``; without one, the sample
+    arrays are empty and ``segments`` is the last run's recording.
     """
 
-    logger_start_s: float
-    anchor: TimestampReadResult
-    variations: list[RunVariation]
+    marks: np.ndarray
+    anchor_ticks: np.ndarray
+    round_trips: np.ndarray
+    variations: list[list[RunVariation]]
     cpu_starts: np.ndarray
     cpu_ends: np.ndarray
-    segments: SegmentArray
-    logger_stop_s: float
+    counts: np.ndarray
+    times: np.ndarray
+    powers: np.ndarray
+    segments: SegmentArray | None
 
 
 class _ExecutionLog:
@@ -510,6 +512,8 @@ class SimulatedGPU:
 
     def idle(self, duration_s: float) -> None:
         """Let the device sit idle for ``duration_s`` seconds."""
+        if not isfinite(duration_s):
+            raise ValueError(f"idle duration must be finite, got {duration_s!r}")
         if duration_s < 0:
             raise ValueError("idle duration cannot be negative")
         if self._compiled:
@@ -681,8 +685,15 @@ class SimulatedGPU:
         self._fc_lens = np.zeros(2, dtype=np.int64)
         self._fc_seg = np.empty((4096, 5))
         self._fc_ev = np.empty((256, 4))
+        self._fc_cum = np.empty((1024, 3))
+        self._fc_times = np.empty(4096)
+        self._fc_powers = np.empty((4096, 3))
+        #: A zero sample grid: the batch kernel takes no samples (nor reads a fill).
+        self._fc_no_grid = np.zeros(3)
+        # Batch-kernel scratch: a run's starting state and caches, progress.
+        self._fc_snap = np.empty(_FK.STATE_LEN + 8)
+        self._fc_progress = np.zeros(2, dtype=np.int64)
         self._fc_out8 = np.empty(8)
-        self._fc_cache = np.empty(2)
 
     def _fc_pack(self) -> np.ndarray:
         """Mirror live simulation state into the kernel state vector."""
@@ -714,7 +725,7 @@ class SimulatedGPU:
         control.time_s = st[_FK.S_CTM]
         control.active_time_s = st[_FK.S_CAC]
         self._next_control_s = st[_FK.S_NEXT]
-        firmware._state = _FC_STATES[int(st[_FK.S_FWST])]
+        firmware._state = KERNEL_STATES[int(st[_FK.S_FWST])]
         firmware._frequency_ghz = st[_FK.S_FREQ]
         firmware._overdraw_accum_s = st[_FK.S_OVER]
         firmware._throttle_until_s = st[_FK.S_THROT]
@@ -729,29 +740,28 @@ class SimulatedGPU:
             self._buffer.append_block(self._fc_seg[:n_seg].copy())
         n_ev = int(lens[1])
         if n_ev:
-            events = self._firmware._events
-            for time_s, code, frequency_ghz, power_w in self._fc_ev[:n_ev].tolist():
-                events.append(
-                    FirmwareEvent(
-                        time_s=time_s,
-                        state=_FC_STATES[int(code)],
-                        frequency_ghz=frequency_ghz,
-                        power_w=power_w,
-                    )
-                )
+            self._firmware.record_kernel_events(self._fc_ev[:n_ev])
 
     def _fc_grow(self, rc: int) -> None:
-        """Double the overflowed output buffer (rc 1: segments, rc 2: events).
+        """Double the overflowed buffer.
 
-        The kernels carry no RNG and the wrapper re-packs fresh state before
-        every attempt, so a retried call is deterministic.
+        rc 1: segments, 2: firmware events, 3: window scratch, 4: samples.
+        Events and samples keep their rows, so a batch resumes where it
+        stopped; the idle/execute wrappers re-pack fresh state and retry the
+        whole call.  The kernels carry no RNG, so either retry is
+        deterministic.
         """
         if rc == 1:
             self._fc_seg = np.empty((2 * self._fc_seg.shape[0], 5))
         elif rc == 2:
-            self._fc_ev = np.empty((2 * self._fc_ev.shape[0], 4))
+            self._fc_ev = np.concatenate([self._fc_ev, np.empty_like(self._fc_ev)])
+        elif rc == 3:
+            self._fc_cum = np.empty((2 * self._fc_cum.shape[0], 3))
+        elif rc == 4:
+            self._fc_times = np.concatenate([self._fc_times, np.empty_like(self._fc_times)])
+            self._fc_powers = np.concatenate([self._fc_powers, np.empty_like(self._fc_powers)])
         else:  # pragma: no cover - unknown code would be a kernel bug
-            raise RuntimeError(f"compiled kernel returned unknown rc={rc}")
+            raise RuntimeError(f"compiled kernel returned rc={rc}")
 
     def _fc_descriptor(self, descriptor: KernelActivityDescriptor) -> np.ndarray:
         """The descriptor flattened into the kernel ``desc`` layout, cached.
@@ -913,82 +923,111 @@ class SimulatedGPU:
         fields["mean_power"] = mean_power
         return result
 
-    def instrumented_run(
+    def instrumented_runs(
         self,
         sequences: Sequence[tuple[KernelActivityDescriptor, int]],
         launch: "LaunchConfig",
         park_s: float,
         pre_padding_s: float,
-        pre_delay_s: float,
+        pre_delays: np.ndarray,
         post_padding_s: float,
-    ) -> InstrumentedRun:
-        """One instrumented run's whole device timeline in one kernel call.
+        sampler=None,
+    ) -> InstrumentedRuns:
+        """A batch of instrumented runs, one per pre-delay, in one kernel call.
 
         Replays, on the compiled engine, what the backend's step-by-step
-        path does: park (unrecorded), start recording, pre-padding idle, the
-        timestamp-anchor read, the pre-delay, every ``(descriptor,
+        path does per run: park (unrecorded), start recording, pre-padding
+        idle, the timestamp-anchor read, the pre-delay, every ``(descriptor,
         executions)`` launch sequence back to back (the main one last),
         post-padding idle and stop recording.  All RNG values are drawn here
-        first, in the step-by-step order: the two read delays, then per
-        sequence its run variation and ``standard_normal(4 * n)`` (launch
-        latency, execution jitter, two timestamp errors per execution).  The
-        device is left exactly as the step-by-step run leaves it.  Requires
+        first, run by run in the step-by-step order: the two read delays,
+        then per sequence its run variation and ``standard_normal(4 * n)``
+        (launch latency, execution jitter, two timestamp errors per
+        execution).  With ``sampler`` (a telemetry sampler: its ``grid`` and
+        idle ``fill``) each run's logger windows are averaged in the same
+        call.  The device is left exactly as the step-by-step runs leave it,
+        the last run's executions in the ground-truth log.  Requires
         ``launch.event_timestamp_error_s > 0`` and a positive execution cv on
         every descriptor (the four-variates draw).
         """
         counter = self._timestamp_counter
-        one_way = counter.sample_read_delay_s()
-        return_way = counter.sample_read_delay_s()
+        draw_run = self._variation.draw_run
+        standard_normal = self._rng.standard_normal
+        n_runs = pre_delays.shape[0]
+        n_seqs = len(sequences)
         slots: dict[str, int] = {}
         descs: list[np.ndarray] = []
-        variates: list[np.ndarray] = []
-        variations: list[RunVariation] = []
         seq_rows: list[tuple[int, int, int]] = []
-        seq_factors: list[tuple[float, float]] = []
         offset = total = 0
         for descriptor, executions in sequences:
-            variation = self._variation.draw_run(descriptor.variation)
-            variations.append(variation)
-            variates.append(self._rng.standard_normal(4 * executions))
             desc = self._fc_descriptor(descriptor)
             descs.append(desc)
             seq_rows.append((offset, slots.setdefault(descriptor.name, len(slots)), executions))
-            seq_factors.append((variation.run_factor, descriptor.variation.execution_cv))
             offset += desc.shape[0]
             total += executions
+        draws = [(descriptor.variation, 4 * executions) for descriptor, executions in sequences]
+        one_ways: list[float] = []
+        round_trips: list[float] = []
+        factors: list[float] = []
+        variates = np.empty(4 * total * n_runs)
+        variations: list[list[RunVariation]] = []
+        cursor = 0
+        for _ in range(n_runs):
+            one_way = counter.sample_read_delay_s()
+            return_way = counter.sample_read_delay_s()
+            one_ways.append(one_way)
+            round_trips.append(one_way + return_way)
+            run_variations = []
+            for spec, count in draws:
+                variation = draw_run(spec)
+                run_variations.append(variation)
+                factors.append(variation.run_factor)
+                standard_normal(out=variates[cursor : cursor + count])
+                cursor += count
+            variations.append(run_variations)
+        spans = np.array(
+            [
+                (park_s, pre_padding_s, round_trip, pre_delay_s, post_padding_s)
+                for round_trip, pre_delay_s in zip(round_trips, pre_delays.tolist())
+            ]
+        )
+        cvs = [spec.execution_cv for spec, _ in draws] * n_runs
+        seqf = np.array([factors, cvs]).T.copy()
         states = []
         for name in slots:
             state = self._cache_states.get(name)
             if state is None:
                 state = self._cache_states[name] = _CacheState()
             states.append(state)
-        seqs = np.array(seq_rows, dtype=np.int64)
-        seqf = np.array(seq_factors)
-        descs_flat = descs[0] if len(descs) == 1 else np.concatenate(descs)
-        variates_flat = variates[0] if len(variates) == 1 else np.concatenate(variates)
-        spans = np.array(
-            [park_s, pre_padding_s, one_way + return_way, pre_delay_s, post_padding_s]
+        caches = np.array(
+            [(float(state.consecutive_executions), state.last_end_s) for state in states]
         )
-        caches = np.empty((len(states), 2))
+        seqs = np.array(seq_rows, dtype=np.int64)
+        descs_flat = descs[0] if len(descs) == 1 else np.concatenate(descs)
         exec_rows = np.empty((total, 8))
-        cpu = np.empty((2, total))
-        cpu_starts, cpu_ends = cpu[0], cpu[1]
-        marks = np.empty(4)
-        fc_run = self._fc.run
+        cpu = np.empty((2, n_runs * total))
+        marks = np.empty((n_runs, 4))
+        counts = np.zeros(n_runs, dtype=np.int64)
+        if self._fc_snap.shape[0] < _FK.STATE_LEN + caches.size:
+            self._fc_snap = np.empty(_FK.STATE_LEN + caches.size)
+        progress = self._fc_progress
+        progress[:] = 0
+        grid, fill = (self._fc_no_grid,) * 2 if sampler is None else (sampler.grid, sampler.fill)
+        lens = self._fc_lens
+        lens[:] = 0
+        st = self._fc_pack()
+        fc_batch = self._fc.batch
         while True:
-            st = self._fc_pack()
-            for slot, state in enumerate(states):
-                caches[slot, 0] = float(state.consecutive_executions)
-                caches[slot, 1] = state.last_end_s
-            rc = fc_run(
-                st, self._fc_params, descs_flat, seqs, seqf, caches, variates_flat, spans,
+            rc = fc_batch(
+                st, self._fc_params, descs_flat, seqs, seqf, caches, variates, spans,
                 launch.launch_latency_s, launch.launch_jitter_s,
                 launch.event_timestamp_error_s, launch.inter_execution_gap_s,
-                self._fc_seg, self._fc_ev, self._fc_lens,
-                exec_rows, cpu_starts, cpu_ends, marks,
+                grid, fill, self._fc_seg, self._fc_ev, self._fc_cum, lens, self._fc_snap, progress,
+                exec_rows, cpu[0], cpu[1], marks, self._fc_times, self._fc_powers, counts,
             )
             if rc == 0:
                 break
+            # The kernel restored the failed run's start: grow and resume.
             self._fc_grow(rc)
         self._fc_unpack()
         # Recording is over: the drain below only flushes firmware events.
@@ -998,7 +1037,10 @@ class SimulatedGPU:
         self._buffer = _SegmentBuffer()
         self._record_extend = self._buffer.data.extend
         self._fc_drain()
-        segments = SegmentArray(self._fc_seg[: int(self._fc_lens[0])].copy())
+        segments = None
+        samples = int(progress[1])
+        if sampler is None:
+            segments = SegmentArray(self._fc_seg[: int(lens[0])].copy())
         for slot, state in enumerate(states):
             state.consecutive_executions = int(caches[slot, 0])
             state.last_end_s = float(caches[slot, 1])
@@ -1007,15 +1049,17 @@ class SimulatedGPU:
         log.data.frombytes(exec_rows.tobytes())
         for descriptor, executions in sequences:
             log.names.extend([descriptor.name] * executions)
-        read_mark = float(marks[1])
-        anchor = TimestampReadResult(
-            gpu_ticks=counter.ticks_at(read_mark + one_way),
-            cpu_time_after_s=float(marks[2]),
-            round_trip_s=one_way + return_way,
-        )
-        return InstrumentedRun(
-            float(marks[0]), anchor, variations, cpu_starts, cpu_ends, segments,
-            float(marks[3]),
+        return InstrumentedRuns(
+            marks,
+            counter.ticks_at_many(marks[:, 1] + np.array(one_ways)),
+            spans[:, 2],
+            variations,
+            cpu[0].reshape(n_runs, total),
+            cpu[1].reshape(n_runs, total),
+            counts,
+            self._fc_times[:samples].copy(),
+            self._fc_powers[:samples].copy(),
+            segments,
         )
 
     # ------------------------------------------------------------------ #
@@ -1056,6 +1100,6 @@ __all__ = [
     "PowerSegment",
     "SegmentArray",
     "KernelExecutionResult",
-    "InstrumentedRun",
+    "InstrumentedRuns",
     "SimulatedGPU",
 ]

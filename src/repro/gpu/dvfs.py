@@ -21,7 +21,10 @@ kernels that never exceed the limit simply sit at boost.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .spec import DVFSSpec, PowerBudget
 
@@ -35,6 +38,18 @@ class FirmwareState(str, enum.Enum):
     THROTTLED = "throttled"
     RECOVERING = "recovering"
     CAPPED = "capped"
+
+
+#: Firmware states by the compiled kernels' code (the ``FW_*`` constants of
+#: ``repro.gpu._fastcore_kernels``: IDLE=0 .. CAPPED=5) -- keep in lockstep.
+KERNEL_STATES = (
+    FirmwareState.IDLE,
+    FirmwareState.RAMPING,
+    FirmwareState.BOOST,
+    FirmwareState.THROTTLED,
+    FirmwareState.RECOVERING,
+    FirmwareState.CAPPED,
+)
 
 
 @dataclass
@@ -103,6 +118,10 @@ class PowerManagementFirmware:
         self._idle_accum_s = 0.0
         self._last_power_w = 0.0
         self._events: list[FirmwareEvent] = []
+        # Transitions the compiled kernels reported, as flat (time, state
+        # code, frequency, power) rows; they become FirmwareEvent objects
+        # only when the history is read.
+        self._event_rows = array("d")
 
     # ------------------------------------------------------------------ #
     # Introspection.
@@ -122,7 +141,27 @@ class PowerManagementFirmware:
     @property
     def events(self) -> list[FirmwareEvent]:
         """State-transition history (oldest first)."""
-        return list(self._events)
+        return list(self._history())
+
+    def record_kernel_events(self, rows: np.ndarray) -> None:
+        """Append transitions drained from the compiled kernels.
+
+        ``rows`` is a C-contiguous float64 ``(n, 4)`` block of ``(time,
+        state code, frequency, power)`` rows, codes as in
+        :data:`KERNEL_STATES`; it is copied, and materialised into
+        :class:`FirmwareEvent` objects when the history is next read.
+        """
+        self._event_rows.frombytes(rows.tobytes())
+
+    def _history(self) -> list[FirmwareEvent]:
+        if self._event_rows:
+            rows = np.frombuffer(self._event_rows).reshape(-1, 4).tolist()
+            self._event_rows = array("d")
+            self._events.extend(
+                FirmwareEvent(time_s, KERNEL_STATES[int(code)], frequency_ghz, power_w)
+                for time_s, code, frequency_ghz, power_w in rows
+            )
+        return self._events
 
     def reset(self) -> None:
         """Return the controller to the parked/idle state."""
@@ -133,6 +172,7 @@ class PowerManagementFirmware:
         self._idle_accum_s = 0.0
         self._last_power_w = 0.0
         self._events.clear()
+        self._event_rows = array("d")
 
     # ------------------------------------------------------------------ #
     # Control loop.
@@ -270,7 +310,7 @@ class PowerManagementFirmware:
             min(max(frequency_ghz, self._dvfs.idle_frequency_ghz), self._dvfs.boost_frequency_ghz)
         )
         if changed:
-            self._events.append(
+            self._history().append(
                 FirmwareEvent(
                     time_s=now_s,
                     state=state,
@@ -284,7 +324,7 @@ class PowerManagementFirmware:
     # ------------------------------------------------------------------ #
     def throttle_count(self) -> int:
         """Number of hard-throttle events recorded so far."""
-        return sum(1 for event in self._events if event.state is FirmwareState.THROTTLED)
+        return sum(1 for event in self._history() if event.state is FirmwareState.THROTTLED)
 
     def was_power_limited(self) -> bool:
         """True when the controller hard-throttled or is holding the cap."""
@@ -292,6 +332,7 @@ class PowerManagementFirmware:
 
 
 __all__ = [
+    "KERNEL_STATES",
     "FirmwareState",
     "FirmwareEvent",
     "FirmwareConfig",

@@ -4,8 +4,9 @@ The device offers two engines:
 
 ``compiled``
     The fast path.  The hot loops (idle per-period loop, execution slice
-    loop, firmware control boundary, closed-form thermal relaxation, a
-    whole instrumented run's timeline and the logger window averaging) run
+    loop, firmware control boundary, closed-form thermal relaxation, the
+    logger window averaging and a whole collection batch of instrumented
+    runs with their logger samples) run
     as the kernels of :mod:`repro.gpu._fastcore_kernels`, served by the first
     provider of the chain ``numba`` -> ``cc`` -> ``python`` that loads and
     passes its self-check:
@@ -70,19 +71,20 @@ _KERNEL_CHAIN = (
     "sequence_core",
     "run_core",
     "window_core",
+    "batch_core",
 )
 
 
 class KernelBundle:
-    """One provider's uniform kernel API (idle / execute / run / window)."""
+    """One provider's uniform kernel API (idle / execute / batch / window)."""
 
-    __slots__ = ("name", "idle", "execute", "run", "window", "numba_version", "lib_path")
+    __slots__ = ("name", "idle", "execute", "batch", "window", "numba_version", "lib_path")
 
-    def __init__(self, name, idle, execute, run, window, numba_version=None, lib_path=None):
+    def __init__(self, name, idle, execute, batch, window, numba_version=None, lib_path=None):
         self.name = name
         self.idle = idle
         self.execute = execute
-        self.run = run
+        self.batch = batch
         self.window = window
         self.numba_version = numba_version
         self.lib_path = lib_path
@@ -145,7 +147,7 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
                 "numba",
                 _K.k_idle,
                 _K.k_execute,
-                _K.k_run,
+                _K.k_batch,
                 _K.k_window,
                 numba_version=numba.__version__,
             ),
@@ -157,7 +159,7 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
                 "python",
                 _unjitted(_K.k_idle),
                 _unjitted(_K.k_execute),
-                _unjitted(_K.k_run),
+                _unjitted(_K.k_batch),
                 _unjitted(_K.k_window),
             ),
             None,
@@ -171,7 +173,7 @@ def _load_provider(name: str) -> tuple[KernelBundle | None, str | None]:
             return None, f"cc: {exc}"
         return (
             KernelBundle(
-                "cc", cc.idle, cc.execute, cc.run, cc.window, lib_path=cc.lib_path
+                "cc", cc.idle, cc.execute, cc.batch, cc.window, lib_path=cc.lib_path
             ),
             None,
         )
@@ -291,40 +293,83 @@ def _run_scenario(bundle) -> dict[str, np.ndarray]:
     check(bundle.idle(st, pp, 10.0 * period, 1, seg, ev, lens))
     drain()
 
-    # One instrumented run: unrecorded park, a preceding short sequence, the
-    # long kernel, then the short kernel again on the shared cache slot.
+    # One collection batch of three runs.  Each run parks (unrecorded), runs
+    # a preceding short sequence, the long kernel and the short kernel again
+    # on the shared cache slot.  The parks before runs 0 and 2 drop the
+    # firmware to idle and expire the caches; the short one before run 1
+    # keeps slot 0 warm across the run boundary.  The first batch starts
+    # from buffers too small for it, so every overflow code is hit and
+    # resumed.
     descs = np.concatenate([desc_short, desc_long])
     seqs = np.array(
         [[0, 0, 3], [desc_short.shape[0], 1, 1], [0, 0, 4]], dtype=np.int64
     )
-    seqf = np.array([[1.02, 0.006], [0.99, 0.004], [0.97, 0.006]])
+    n_runs = 3
+    seqf = np.array([[1.02, 0.006], [0.99, 0.004], [0.97, 0.006]] * n_runs)
+    seqf[:, 0] *= np.repeat([1.0, 1.01, 0.98], seqs.shape[0])
     executions = int(seqs[:, 2].sum())
-    variates = np.linspace(-1.2, 1.3, 4 * executions)
-    spans = np.array([12.0 * period, 1.5 * period, 4e-6, 0.3 * period, 1.3 * period])
-    exec_rows = np.zeros((executions, 8))
-    cpu_starts = np.zeros(executions)
-    cpu_ends = np.zeros(executions)
-    marks = np.zeros(4)
-    st_before = st.copy()
-
-    def run(seg_rows: np.ndarray, caches: np.ndarray):
-        st[:] = st_before
-        return bundle.run(
-            st, pp, descs, seqs, seqf, caches, variates, spans,
-            2.5e-6, 0.5e-6, 0.6e-6, 1.0e-6,
-            seg_rows, ev, lens, exec_rows, cpu_starts, cpu_ends, marks,
-        )
-
+    variates = np.linspace(-1.2, 1.3, 4 * executions * n_runs)
+    spans = np.array(
+        [
+            [12.0 * period, 1.5 * period, 4e-6, 0.3 * period, 1.3 * period],
+            [2.0 * period, 1.5 * period, 4e-6, 0.0, 1.3 * period],
+            [24.0 * period, 1.5 * period, 5e-6, 0.7 * period, 1.3 * period],
+        ]
+    )
     caches = np.array([[0.0, -1.0], [1.0, -1.0]])
-    overflow_rc = run(np.zeros((4, 5)), caches.copy())
-    check(run(seg, caches))
-    drain()
+    exec_rows = np.zeros((executions, 8))
+    cpu_starts = np.zeros(n_runs * executions)
+    cpu_ends = np.zeros(n_runs * executions)
+    marks = np.zeros((n_runs, 4))
+    counts = np.zeros(n_runs, dtype=np.int64)
+    snap = np.zeros(_K.STATE_LEN + caches.size)
+    fill = pp[_K.P_IDLE_X : _K.P_IDLE_H + 1].copy()
+    outputs: list[np.ndarray] = []
+    batch_rcs: list[int] = []
 
-    # Logger windows over the run's recording, whole and with gaps cut in,
-    # on a grid reaching before the first and past the last segment.
+    def batch(grid, buffers) -> None:
+        batch_seg, batch_ev, cum, times, powers = buffers
+        lens[:] = 0
+        progress = np.zeros(2, dtype=np.int64)
+        while True:
+            rc = bundle.batch(
+                st, pp, descs, seqs, seqf, caches, variates, spans,
+                2.5e-6, 0.5e-6, 0.6e-6, 1.0e-6,
+                grid, fill, batch_seg, batch_ev, cum, lens, snap, progress,
+                exec_rows, cpu_starts, cpu_ends, marks, times, powers, counts,
+            )
+            batch_rcs.append(int(rc))
+            if rc == 0:
+                break
+            if rc == 1:
+                batch_seg = np.zeros((2 * batch_seg.shape[0], 5))
+            elif rc == 2:
+                batch_ev = np.vstack([batch_ev, np.zeros_like(batch_ev)])
+            elif rc == 3:
+                cum = np.zeros((2 * cum.shape[0], 3))
+            elif rc == 4:
+                times = np.concatenate([times, np.zeros_like(times)])
+                powers = np.vstack([powers, np.zeros_like(powers)])
+            else:
+                raise RuntimeError(f"scenario batch returned rc={rc}")
+        total = int(progress[1])
+        outputs.extend(
+            array.copy()
+            for array in (times[:total], powers[:total], counts, marks, cpu_starts, cpu_ends)
+        )
+        segs.append(batch_seg[: int(lens[0])].copy())
+        evs.append(batch_ev[: int(lens[1])].copy())
+        states.append(st.copy())
+
+    tiny = (np.zeros((32, 5)), np.zeros((4, 4)), np.zeros((64, 3)), np.zeros(4), np.zeros((4, 3)))
+    batch(np.array([0.3 * period, 4.0 * period, 4.0 * period]), tiny)
+    wide = (seg, ev, np.zeros((512, 3)), np.zeros(256), np.zeros((256, 3)))
+    batch(np.array([0.1 * period, 0.5 * period, 0.0]), wide)
+
+    # Logger windows over the last run's recording, whole and with gaps cut
+    # in, on a grid reaching before the first and past the last segment.
     recorded = segs[-1]
     gapped = np.ascontiguousarray(recorded[::2])
-    fill = pp[_K.P_IDLE_X : _K.P_IDLE_H + 1].copy()
     times = np.linspace(recorded[0, 0] - 1.5 * period, recorded[-1, 1] + period, 23)
     cum = np.zeros((2 * recorded.shape[0], 3))
     windows = []
@@ -342,12 +387,11 @@ def _run_scenario(bundle) -> dict[str, np.ndarray]:
         "states": np.vstack(states),
         "out8_a": out8_a,
         "out8_b": out8_b,
+        "batches": np.concatenate([np.ravel(array) for array in outputs]),
         "exec_rows": exec_rows,
-        "cpu_starts": cpu_starts,
-        "cpu_ends": cpu_ends,
         "caches": caches,
         "marks": marks,
-        "overflow_rc": np.array([overflow_rc]),
+        "batch_rcs": np.array(batch_rcs),
         "windows": np.vstack(windows),
         "window_rcs": np.array(window_rcs),
     }
@@ -357,7 +401,7 @@ def _run_scenario_pure() -> dict[str, np.ndarray]:
     """Reference run over the pure-Python kernel bodies."""
     with _pure_kernels():
         return _run_scenario(
-            KernelBundle("pure", _K.k_idle, _K.k_execute, _K.k_run, _K.k_window)
+            KernelBundle("pure", _K.k_idle, _K.k_execute, _K.k_batch, _K.k_window)
         )
 
 

@@ -28,7 +28,11 @@ over those rows, the float64 sample times and the idle ``fill`` power,
 writing one xcd/iod/hbm row per sample; its ``(max(2n, 1), 3)``
 cumulative-energy scratch table lives on the sampler.  Unsorted or
 overlapping segments take the scalar ``_average_power_over`` /
-``_instantaneous_power_at`` helpers instead.
+``_instantaneous_power_at`` helpers instead.  A collection batch of runs
+is sampled inside the device's batch kernel: it reads the sampler's
+``grid`` (phase, period, window) and ``fill`` and reproduces
+:meth:`AveragingPowerLogger.sample_columns` /
+:meth:`InstantaneousPowerSampler.sample_columns` bit for bit.
 """
 
 from __future__ import annotations
@@ -116,12 +120,20 @@ class _WindowSampler:
     """
 
     def __init__(self, counter: GPUTimestampCounter, period_s: float,
-                 idle_power: ComponentPower, phase_offset_s: float) -> None:
+                 idle_power: ComponentPower, phase_offset_s: float,
+                 window_s: float) -> None:
         self._counter = counter
         self._period_s = period_s
         self._idle_power = idle_power
         self._phase_offset_s = phase_offset_s % period_s
-        self._fill = np.array([idle_power.xcd_w, idle_power.iod_w, idle_power.hbm_w])
+        #: Averaging window of every sample (0.0: point samples).
+        self.window_s = window_s
+        #: The sample grid as the fastcore batch kernel reads it: samples at
+        #: ``phase + i * period``; a positive window also drops a sample
+        #: within 1e-12 of the logger start (:meth:`sample_columns`).
+        self.grid = np.array([self._phase_offset_s, period_s, window_s])
+        #: Idle xcd/iod/hbm power, the window kernel's gap fill.
+        self.fill = np.array([idle_power.xcd_w, idle_power.iod_w, idle_power.hbm_w])
         self._cum = np.empty((1024, 3))
         #: Kernel provider; resolved on first use (tests may pin one).
         self._fc = None
@@ -140,10 +152,10 @@ class _WindowSampler:
             segments = SegmentArray.from_segments(segments)
         rows = segments.rows
         powers = np.empty((times.shape[0], 3))
-        rc = self._fc.window(rows, self._fill, times, window_s, self._cum, powers)
+        rc = self._fc.window(rows, self.fill, times, window_s, self._cum, powers)
         if rc == 1:
             self._cum = np.empty((max(2 * self._cum.shape[0], 2 * rows.shape[0], 1), 3))
-            rc = self._fc.window(rows, self._fill, times, window_s, self._cum, powers)
+            rc = self._fc.window(rows, self.fill, times, window_s, self._cum, powers)
         if rc == 0:
             return powers
         if window_s > 0:
@@ -204,7 +216,7 @@ class AveragingPowerLogger(_WindowSampler):
     ) -> None:
         if period_s <= 0:
             raise ValueError("logger period must be positive")
-        super().__init__(counter, period_s, idle_power, phase_offset_s)
+        super().__init__(counter, period_s, idle_power, phase_offset_s, period_s)
 
     def sample_times_between(self, start_s: float, end_s: float) -> list[float]:
         """Absolute times of the sample boundaries within ``(start_s, end_s]``.
@@ -240,7 +252,7 @@ class AveragingPowerLogger(_WindowSampler):
         :class:`TelemetrySample` objects.
         """
         times = self._sample_times_array(logger_start_s, logger_stop_s)
-        return self._columns(segments, times, self._period_s)
+        return self._columns(segments, times, self.window_s)
 
 
 class CoarsePowerSampler(AveragingPowerLogger):
@@ -275,7 +287,7 @@ class InstantaneousPowerSampler(_WindowSampler):
     ) -> None:
         if period_s <= 0:
             raise ValueError("sampler period must be positive")
-        super().__init__(counter, period_s, idle_power, phase_offset_s)
+        super().__init__(counter, period_s, idle_power, phase_offset_s, 0.0)
 
     def sample_columns(
         self,
@@ -288,7 +300,7 @@ class InstantaneousPowerSampler(_WindowSampler):
         last_index = math.floor((stop_s + 1e-12 - self._phase_offset_s) / self._period_s) + 1
         indices = np.arange(first_index, max(last_index, first_index) + 1)
         times = self._phase_offset_s + indices * self._period_s
-        return self._columns(segments, times[times <= stop_s + 1e-12], 0.0)
+        return self._columns(segments, times[times <= stop_s + 1e-12], self.window_s)
 
 
 __all__ = [

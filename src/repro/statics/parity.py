@@ -47,10 +47,10 @@ _FASTCORE = "gpu/fastcore.py"
 #: Manifest path relative to the project root (travels with tree copies).
 MANIFEST_REL = "statics/parity_manifest.json"
 
-#: Python kernel -> C function.  The C side folds the ``k_run`` entry
-#: point's counter reset into ``fc_run`` and exports ``window_core`` as
-#: ``fc_window`` (``k_window`` only forwards), hence the renames; the other
-#: bodies mirror under their own names.
+#: Python kernel -> C function.  The C side exports ``batch_core`` as
+#: ``fc_batch`` (``k_batch`` only forwards), hence the rename; the other
+#: bodies mirror under their own names (``fc_window`` only forwards to
+#: ``window_core``).
 C_PAIRS: dict[str, str] = {
     "fw_transition": "fw_transition",
     "fw_step": "fw_step",
@@ -59,8 +59,9 @@ C_PAIRS: dict[str, str] = {
     "idle_core": "idle_core",
     "execute_core": "execute_core",
     "sequence_core": "sequence_core",
-    "run_core": "fc_run",
-    "window_core": "fc_window",
+    "run_core": "run_core",
+    "window_core": "window_core",
+    "batch_core": "fc_batch",
 }
 
 #: Module-level constant prefixes shared between the Python and C layouts.

@@ -411,6 +411,17 @@ class TestBackendEquivalence:
                     preceding=[(mb_gemv(4096), 2), (cb_gemm(2048), 3)],
                 )
             )
+            # Multi-run batches: one kernel call per batch on the compiled
+            # engine, object-path runs one by one on the reference engine.
+            records.extend(
+                backend.run_batch(kernel, 9, [0.1e-3 * i for i in range(5)], 7)
+            )
+            records.extend(
+                backend.run_batch(
+                    kernel, 4, [0.6e-3, 0.0, 1.9e-3], 12,
+                    [(mb_gemv(4096), 2), (kernel, 1)],
+                )
+            )
             return records
 
         matrix = {f"compiled-{provider}": one("compiled", provider) for provider in PROVIDERS}
@@ -423,6 +434,11 @@ class TestBackendEquivalence:
         for engine, records in record_matrix.items():
             if engine != "reference":
                 yield from zip(records, reference)
+
+    def test_batches_keep_run_order(self, record_matrix):
+        for records in record_matrix.values():
+            assert [r.run_index for r in records] == list(range(15))
+            assert [r.pre_delay_s for r in records[7:12]] == [0.1e-3 * i for i in range(5)]
 
     def test_execution_timings_identical(self, record_matrix):
         for fast, reference in self.pairs(record_matrix):
@@ -484,21 +500,22 @@ def test_unfusable_runs_take_the_object_branch(case, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fused run taken")
 
-    monkeypatch.setattr(SimulatedGPU, "instrumented_run", refuse)
+    monkeypatch.setattr(SimulatedGPU, "instrumented_runs", refuse)
     records = {}
     for engine in ("compiled", "reference"):
         backend = SimulatedDeviceBackend(
             spec=SPEC, seed=5, config=BackendConfig(engine=engine), launch_config=launch
         )
-        records[engine] = backend.run(
-            descriptor, executions=6, pre_delay_s=0.1e-3, preceding=[(GEMV, 2)]
-        )
-    fast, reference = records["compiled"], records["reference"]
-    assert list(fast.executions) == list(reference.executions)
-    assert list(fast.preceding_executions) == list(reference.preceding_executions)
-    assert fast.anchor == reference.anchor
-    for a, b in zip(fast.readings, reference.readings):
-        assert a.total_w == pytest.approx(b.total_w, rel=POWER_RTOL)
+        single = backend.run(descriptor, executions=6, pre_delay_s=0.1e-3, preceding=[(GEMV, 2)])
+        batch = backend.run_batch(descriptor, 6, [0.4e-3, 0.0], 1, [(GEMV, 2)])
+        records[engine] = (single, *batch)
+    for fast, reference in zip(records["compiled"], records["reference"]):
+        assert fast.run_index == reference.run_index
+        assert list(fast.executions) == list(reference.executions)
+        assert list(fast.preceding_executions) == list(reference.preceding_executions)
+        assert fast.anchor == reference.anchor
+        for a, b in zip(fast.readings, reference.readings):
+            assert a.total_w == pytest.approx(b.total_w, rel=POWER_RTOL)
 
 
 def device_state(device):
@@ -536,6 +553,9 @@ class TestOverflowRetry:
         if shrink:
             device._fc_seg = np.empty((3, 5))
             device._fc_ev = np.empty((1, 4))
+            device._fc_cum = np.empty((2, 3))
+            device._fc_times = np.empty(2)
+            device._fc_powers = np.empty((2, 3))
             backend._sampler._cum = np.empty((2, 3))
         records = [
             backend.run(
@@ -544,6 +564,11 @@ class TestOverflowRetry:
             )
             for i in range(3)
         ]
+        records.extend(
+            backend.run_batch(
+                cb_gemm(1024), 12, [0.3e-3 * i for i in range(4)], 3, [(mb_gemv(4096), 3)]
+            )
+        )
         return backend, records
 
     def test_retried_run_is_bit_identical(self):
@@ -551,6 +576,8 @@ class TestOverflowRetry:
         default, default_records = self.drive(shrink=False)
         assert small.device._fc_seg.shape[0] > 3
         assert small.device._fc_ev.shape[0] > 1
+        assert small.device._fc_cum.shape[0] > 2
+        assert small.device._fc_times.shape[0] > 2
         assert small._sampler._cum.shape[0] > 2
         assert small_records == default_records
         assert device_state(small.device) == device_state(default.device)

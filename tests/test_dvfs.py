@@ -7,8 +7,8 @@ import pytest
 
 from repro.gpu import _fastcore_kernels as K
 from repro.gpu import fastcore
-from repro.gpu.device import _FC_STATES, SimulatedGPU
-from repro.gpu.dvfs import FirmwareConfig, FirmwareState, PowerManagementFirmware
+from repro.gpu.device import SimulatedGPU
+from repro.gpu.dvfs import KERNEL_STATES, FirmwareConfig, FirmwareState, PowerManagementFirmware
 from repro.gpu.spec import DVFSSpec, PowerBudget, mi300x_spec
 
 
@@ -40,6 +40,23 @@ class TestFirmwareBasics:
     def test_negative_interval_rejected(self, firmware):
         with pytest.raises(ValueError):
             firmware.step(0.0, -1.0, 100.0, True)
+
+    def test_kernel_event_rows_join_the_history_in_order(self, firmware):
+        # Compiled-kernel transitions are kept as rows until the history is
+        # read; a later transition of the object path lands after them.
+        firmware.record_kernel_events(np.array([[1e-3, 2.0, 2.1, 180.0], [2e-3, 3.0, 1.9, 650.0]]))
+        firmware.record_kernel_events(np.array([[3e-3, 0.0, 0.8, 120.0]]))
+        assert firmware.throttle_count() == 1
+        firmware.notify_kernel_arrival(4e-3)
+        assert [(e.time_s, e.state) for e in firmware.events] == [
+            (1e-3, FirmwareState.BOOST),
+            (2e-3, FirmwareState.THROTTLED),
+            (3e-3, FirmwareState.IDLE),
+            (4e-3, FirmwareState.BOOST),
+        ]
+        firmware.record_kernel_events(np.array([[5e-3, 1.0, 1.3, 140.0]]))
+        firmware.reset()
+        assert firmware.events == []
 
     def test_zero_interval_is_a_noop(self, firmware):
         """Regression: dt_s == 0 used to overwrite ``_last_power_w`` and run
@@ -309,7 +326,7 @@ class TestIdleSpan:
                 while next_control <= now + 1e-12:
                     next_control += self.PERIOD
         events = [
-            (float(row[0]), _FC_STATES[int(row[1])], float(row[2]), float(row[3]))
+            (float(row[0]), KERNEL_STATES[int(row[1])], float(row[2]), float(row[3]))
             for row in ev[: int(lens[1])]
         ]
         del twin._events[:prior_events]
@@ -317,7 +334,7 @@ class TestIdleSpan:
 
     @staticmethod
     def assert_matches(st, events, twin):
-        assert _FC_STATES[int(st[K.S_FWST])] is twin.state
+        assert KERNEL_STATES[int(st[K.S_FWST])] is twin.state
         assert st[K.S_FREQ] == twin.frequency_ghz
         assert st[K.S_IDLEAC] == twin._idle_accum_s
         assert st[K.S_OVER] == twin._overdraw_accum_s

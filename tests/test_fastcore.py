@@ -176,7 +176,7 @@ class TestSelfCheckFailure:
         clean_fastcore.setenv("REPRO_FASTCORE_PROVIDER", "numba")
         python, _ = fastcore._load_provider("python")
         fake_numba = fastcore.KernelBundle(
-            "numba", python.idle, python.execute, python.run, python.window,
+            "numba", python.idle, python.execute, python.batch, python.window,
             numba_version="0",
         )
         clean_fastcore.setattr(
@@ -203,7 +203,7 @@ class TestSelfCheckFailure:
             return rc
 
         corrupted = fastcore.KernelBundle(
-            "corrupted", corrupted_idle, bundle.execute, bundle.run, bundle.window
+            "corrupted", corrupted_idle, bundle.execute, bundle.batch, bundle.window
         )
         failure = fastcore.self_check(corrupted)
         assert failure is not None and "mismatch" in failure
@@ -217,20 +217,85 @@ class TestSelfCheckScenario:
         from repro.gpu import _fastcore_kernels as K
 
         got = fastcore._run_scenario_pure()
-        # The run overflowed its tiny segment buffer before the full retry.
-        assert got["overflow_rc"].tolist() == [1]
+        # The first batch hit every overflow code and resumed; both batches
+        # then finished.
+        rcs = got["batch_rcs"].tolist()
+        assert {1, 2, 3, 4} <= set(rcs) and rcs[-2:] == [0, 0]
         # Window calls: scratch overflow, nine clean grids, unsorted input.
         rcs = got["window_rcs"].tolist()
         assert rcs[0] == 1 and rcs[-1] == 2 and set(rcs[1:-1]) == {0}
-        # Slot 0 is shared by the preceding and the final short sequence.
+        # Slot 0 is shared by the preceding and the final short sequence;
+        # the long park before the last run expired it.
         assert got["caches"][0, 0] == 7.0
-        # The park is not recorded: nothing starts between the previous
-        # step's end and the logger start.
-        before_park = got["states"][-2][K.S_NOW]
-        logger_start = got["marks"][0]
+        # Runs follow one another; no park is recorded: nothing starts
+        # between the previous step's end and the last run's logger start.
+        marks = got["marks"]
+        assert (marks[1:, 0] > marks[:-1, 3]).all()
+        before_batch = got["states"][-2][K.S_NOW]
+        logger_start = marks[-1, 0]
         starts = got["segments"][:, 0]
-        assert logger_start > before_park
-        assert not ((starts >= before_park) & (starts < logger_start)).any()
+        assert logger_start > before_batch
+        assert not ((starts >= marks[-2, 3]) & (starts < logger_start)).any()
+
+    def test_batch_resumes_bit_identical_to_an_unbroken_batch(self):
+        # Resuming after every overflow must equal one call with room to
+        # spare: same state, caches, timings, marks and samples.
+        from repro.gpu import _fastcore_kernels as K
+
+        st, pp, desc_long, desc_short = fastcore._scenario_params()
+        period = pp[K.P_PERIOD]
+        descs = np.concatenate([desc_short, desc_long])
+        seqs = np.array([[0, 0, 2], [desc_short.shape[0], 1, 1]], dtype=np.int64)
+        seqf = np.array([[1.01, 0.006], [0.98, 0.004]] * 4)
+        spans = np.array([[12.0 * period, 1.5 * period, 4e-6, 0.4 * period, 1.3 * period]] * 4)
+        variates = np.linspace(-1.0, 1.1, 4 * 3 * 4)
+        fill = pp[K.P_IDLE_X : K.P_IDLE_H + 1].copy()
+        grid = np.array([0.2 * period, 4.0 * period, 4.0 * period])
+
+        def drive(seg_rows, ev_rows, cum_rows, sample_rows):
+            state = st.copy()
+            caches = np.array([[0.0, -1.0], [0.0, -1.0]])
+            buffers = [
+                np.zeros((seg_rows, 5)), np.zeros((ev_rows, 4)), np.zeros((cum_rows, 3)),
+                np.zeros(sample_rows), np.zeros((sample_rows, 3)),
+            ]
+            out = [np.zeros((3, 8)), np.zeros(12), np.zeros(12), np.zeros((4, 4)),
+                   np.zeros(4, dtype=np.int64)]
+            lens = np.zeros(2, dtype=np.int64)
+            progress = np.zeros(2, dtype=np.int64)
+            snap = np.zeros(K.STATE_LEN + 4)
+            calls = 0
+            while True:
+                calls += 1
+                seg, ev, cum, times, powers = buffers
+                rc = K.k_batch(
+                    state, pp, descs, seqs, seqf, caches, variates, spans,
+                    2.5e-6, 0.5e-6, 0.6e-6, 1.0e-6, grid, fill, seg, ev, cum, lens,
+                    snap, progress, out[0], out[1], out[2], out[3], times, powers, out[4],
+                )
+                if rc == 0:
+                    break
+                if rc == 2:
+                    buffers[1] = np.vstack([ev, np.zeros_like(ev)])
+                elif rc == 4:
+                    buffers[3] = np.concatenate([times, np.zeros_like(times)])
+                    buffers[4] = np.vstack([powers, np.zeros_like(powers)])
+                else:
+                    index = {1: 0, 3: 2}[rc]
+                    old = buffers[index]
+                    buffers[index] = np.zeros((2 * old.shape[0],) + old.shape[1:])
+            total = int(progress[1])
+            events = buffers[1][: int(lens[1])]
+            return calls, state, caches, out, buffers[3][:total], buffers[4][:total], events
+
+        calls, *small = drive(3, 1, 2, 1)
+        one_call, *wide = drive(512, 64, 512, 256)
+        assert calls > 4 and one_call == 1
+        for a, b in zip(small, wide):
+            if isinstance(a, list):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            else:
+                assert np.array_equal(a, b)
 
 
 # --------------------------------------------------------------------- #

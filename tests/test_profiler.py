@@ -102,6 +102,12 @@ class TestProfilerConfiguration:
         with pytest.raises(ValueError):
             profiler.profile(cb_gemm(4096), runs=0)
 
+    @pytest.mark.parametrize("periods", [float("inf"), float("nan"), -0.5])
+    def test_unbounded_or_negative_random_delay_rejected(self, periods):
+        # An infinite bound would hand the device an infinite idle span.
+        with pytest.raises(ValueError, match="max_random_delay_periods"):
+            ProfilerConfig(max_random_delay_periods=periods)
+
     def test_interleaved_preceding_passed_through(self, backend):
         profiler = FinGraVProfiler(
             backend,

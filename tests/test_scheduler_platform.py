@@ -1,5 +1,6 @@
 """Unit tests for the CPU-side launch path and the multi-GPU platform."""
 
+import numpy as np
 import pytest
 
 from repro.gpu.activity import KernelActivityDescriptor, flat_profile_phases
@@ -61,8 +62,8 @@ class TestKernelLauncher:
         # step-by-step launch loop over the same timeline and RNG stream.
         fused = SimulatedGPU(spec, seed=77, engine="compiled")
         stepped = KernelLauncher(SimulatedGPU(spec, seed=77, engine="compiled"))
-        run = fused.instrumented_run(
-            [(descriptor, 6)], LaunchConfig(), 8e-3, 1.5e-3, 0.4e-3, 1.3e-3
+        run = fused.instrumented_runs(
+            [(descriptor, 6)], LaunchConfig(), 8e-3, 1.5e-3, np.array([0.4e-3]), 1.3e-3
         )
         device = stepped.device
         device.park(8e-3)
@@ -74,10 +75,12 @@ class TestKernelLauncher:
         reference = stepped.launch_sequence(descriptor, executions=6, run_variation=variation)
         device.idle(1.3e-3)
         assert run.segments == device.stop_recording()
-        assert run.anchor == anchor
-        assert run.variations == [variation]
-        assert list(run.cpu_starts) == [o.cpu_start_s for o in reference]
-        assert list(run.cpu_ends) == [o.cpu_end_s for o in reference]
+        assert run.anchor_ticks.tolist() == [anchor.gpu_ticks]
+        assert run.marks[0, 2] == anchor.cpu_time_after_s
+        assert run.round_trips.tolist() == [anchor.round_trip_s]
+        assert run.variations == [[variation]]
+        assert run.cpu_starts.tolist() == [[o.cpu_start_s for o in reference]]
+        assert run.cpu_ends.tolist() == [[o.cpu_end_s for o in reference]]
         assert fused.executions() == [o.ground_truth for o in reference]
         assert fused.now_s() == device.now_s()
 
